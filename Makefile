@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke
+.PHONY: build test verify chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke perfbench-build
 
 build:
 	$(GO) build ./...
@@ -18,10 +18,17 @@ test: build
 # for the full sweep. The arm64 cross-build keeps the prefetch package's
 # per-arch split (assembly on amd64, no-op elsewhere) compiling on a
 # non-amd64 target.
-verify: build obs-smoke alloc-smoke wal-smoke net-smoke
+verify: build perfbench-build obs-smoke alloc-smoke wal-smoke net-smoke
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -short ./...
+
+# Build and vet the benchmark module. perfbench/ has its own go.mod, so the
+# root build never compiles it; this fails when an API it uses changes.
+# The binary is discarded so nothing lands in the module directory.
+perfbench-build:
+	cd perfbench && GOFLAGS=-mod=readonly GOWORK=off $(GO) build -o /dev/null ./...
+	cd perfbench && GOFLAGS=-mod=readonly GOWORK=off $(GO) vet ./...
 
 # Fail if the unobserved synchronous delegation round trip allocates.
 alloc-smoke:
@@ -50,13 +57,14 @@ net-smoke:
 chaos:
 	$(GO) test -race -run Chaos -v ./internal/harness/
 
-# Record the delegation/index/TPC-C perf trajectory into
-# BENCH_delegation.json (commit the refreshed snapshot).
+# Record the delegation/index/TPC-C perf trajectory, with the host it ran
+# on, into BENCH_delegation.json (commit the refreshed snapshot).
 bench:
 	./scripts/bench-snapshot.sh
 
 # Re-run the snapshot benchmarks and fail on a >15% ns/op regression against
 # the committed BENCH_delegation.json (THRESHOLD_PCT overrides the bar).
+# Exits 2 without measuring when the baseline was recorded on another host.
 bench-compare:
 	./scripts/bench-compare.sh
 

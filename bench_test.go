@@ -208,10 +208,9 @@ func BenchmarkDelegationInvoke(b *testing.B) {
 	}
 }
 
-// BenchmarkDelegationInvokeKV measures the typed key/value round trip
-// through the interleaved sweep path (Config.BatchExec on, full width):
-// a burst of 14 pipelined SubmitKV Gets answered by live workers through
-// the hashmap's batch kernel. Pinned allocation-free by alloc-smoke — the
+// BenchmarkDelegationInvokeKV measures the typed key/value round trip: a
+// burst of 14 pipelined SubmitKV Gets answered by live workers through the
+// hashmap's batch kernel. Pinned allocation-free by alloc-smoke — the
 // typed path must not re-introduce boxing anywhere from post to answer.
 func BenchmarkDelegationInvokeKV(b *testing.B) {
 	const burst = 14
@@ -220,7 +219,6 @@ func BenchmarkDelegationInvokeKV(b *testing.B) {
 		Machine:    machine,
 		Domains:    []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
 		Assignment: map[string]int{"x": 0},
-		BatchExec:  robustconf.BatchExecConfig{Enabled: true, Width: 15},
 	}
 	idx := hashmap.New()
 	for k := uint64(0); k < 1024; k++ {
@@ -743,15 +741,16 @@ func BenchmarkAblationResponseBatching(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBatchExec compares serial sweep execution against the
-// interleaved batched schedule (DESIGN.md §15) on the real indexes: 14
-// typed random Gets are posted as one burst, a single sweep claims and
-// executes them, and the only difference between the arms is whether the
-// sweep hands the run to the structure's batch kernel (which walks the 14
-// traversals stage by stage, prefetching each op's next node) or runs them
-// one at a time. The working set is sized well past LLC so the traversals
-// are cache-miss bound — the regime the interleave targets. ns/kvop is the
-// per-operation figure (ns/op covers the whole 14-op burst).
+// BenchmarkAblationBatchExec compares the interleaved kernel schedule
+// (DESIGN.md §15) against serial execution on the real indexes: 14 random
+// Gets are posted as one burst and a single sweep claims and executes them.
+// Arm width=15 posts typed ops, which the sweep hands to the structure's
+// batch kernel as one run (it walks the 14 traversals stage by stage,
+// prefetching each op's next node); arm serial-closure posts prebuilt
+// closures calling idx.Get, which the same sweep runs one at a time. The
+// working set is sized well past LLC so the traversals are cache-miss bound
+// — the regime the interleave targets. ns/kvop is the per-operation figure
+// (ns/op covers the whole 14-op burst).
 func BenchmarkAblationBatchExec(b *testing.B) {
 	const records = 1 << 21
 	const burst = 14
@@ -775,18 +774,15 @@ func BenchmarkAblationBatchExec(b *testing.B) {
 			if !ok {
 				b.Fatalf("%s has no batch kernel", bl.name)
 			}
-			for _, width := range []int{0, 8, 15} {
-				name := "serial"
-				if width >= 2 {
-					name = fmt.Sprintf("width=%d", width)
+			for _, typed := range []bool{true, false} {
+				name := "width=15"
+				if !typed {
+					name = "serial-closure"
 				}
 				b.Run(name, func(b *testing.B) {
 					buf, err := delegation.NewBuffer(0, burst)
 					if err != nil {
 						b.Fatal(err)
-					}
-					if width >= 2 {
-						buf.SetBatchExec(width)
 					}
 					inbox, err := delegation.NewInbox([]*delegation.Buffer{buf})
 					if err != nil {
@@ -799,6 +795,18 @@ func BenchmarkAblationBatchExec(b *testing.B) {
 					client, err := delegation.NewClient(slots)
 					if err != nil {
 						b.Fatal(err)
+					}
+					// Prebuilt closures, one per burst position, read their
+					// key from keyOf and park the value in got, so the closure
+					// arm allocates nothing (boxing the value would).
+					var keyOf, got [burst]uint64
+					var gets [burst]delegation.Task
+					for j := range gets {
+						j := j
+						gets[j] = func() any {
+							got[j], _ = idx.Get(keyOf[j], nil)
+							return nil
+						}
 					}
 					var hs [burst]delegation.InvokeHandle
 					rng := uint64(0x9e3779b97f4a7c15)
@@ -813,11 +821,22 @@ func BenchmarkAblationBatchExec(b *testing.B) {
 							if !ok {
 								b.Fatal("no free slot")
 							}
-							hs[j] = client.PostReservedKV(slot, kern, delegation.KVGet, keys[rng%records], 0)
+							if typed {
+								hs[j] = client.PostReservedKV(slot, kern, delegation.KVGet, keys[rng%records], 0)
+							} else {
+								keyOf[j] = keys[rng%records]
+								hs[j] = client.PostReserved(slot, gets[j])
+							}
 						}
 						buf.Sweep()
 						for j := 0; j < burst; j++ {
-							if _, _, err := client.AwaitKV(hs[j]); err != nil {
+							var err error
+							if typed {
+								_, _, err = client.AwaitKV(hs[j])
+							} else {
+								_, err = client.Await(hs[j])
+							}
+							if err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -1150,7 +1169,7 @@ func BenchmarkAblationTxnMode(b *testing.B) {
 // loopback: a client pipelines GET windows of the given depth over the
 // binary protocol; the server folds each window into delegation bursts
 // through its session pool (DESIGN.md §16). The runtime underneath is the
-// same single-domain interleaved-sweep setup as BenchmarkDelegationInvokeKV,
+// same single-domain setup as BenchmarkDelegationInvokeKV,
 // so ns/op here against that benchmark isolates the network front end's
 // overhead, and the depth series shows pipelining amortising it: depth 1
 // pays one full network round trip per op, depth 64 spreads that round
@@ -1163,7 +1182,6 @@ func BenchmarkServerPipelined(b *testing.B) {
 				Machine:    machine,
 				Domains:    []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
 				Assignment: map[string]int{"x": 0},
-				BatchExec:  robustconf.BatchExecConfig{Enabled: true, Width: 15},
 			}
 			idx := hashmap.New()
 			for k := uint64(0); k < 1024; k++ {
@@ -1234,7 +1252,6 @@ func BenchmarkDelegationInvokeKVSync(b *testing.B) {
 		Machine:    machine,
 		Domains:    []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
 		Assignment: map[string]int{"x": 0},
-		BatchExec:  robustconf.BatchExecConfig{Enabled: true, Width: 15},
 	}
 	idx := hashmap.New()
 	for k := uint64(0); k < 1024; k++ {

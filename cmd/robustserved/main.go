@@ -1,8 +1,8 @@
 // Command robustserved serves the delegation runtime over TCP: the network
 // front end of internal/server wired to a sharded index composition, so
 // remote clients (robustconf/client, robustycsb -addr) drive the same
-// two-phase batched sweeps as in-process sessions — one pipelined network
-// batch per delegation burst.
+// worker sweeps as in-process sessions — one pipelined network batch per
+// delegation burst.
 //
 // Usage:
 //
@@ -132,7 +132,6 @@ func main() {
 		Assignment: assignment,
 		Faults:     faults,
 		Obs:        observer,
-		BatchExec:  robustconf.BatchExecConfig{Enabled: true, Width: delegation.SlotsPerBuffer},
 	}, registered)
 	if err != nil {
 		fatal(err)

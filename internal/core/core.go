@@ -124,11 +124,11 @@ type Config struct {
 	// domain worker owns an arena recycled at sweep-batch boundaries, and
 	// the WAL's staging buffers draw from it. The zero value disables it.
 	Arena ArenaConfig
-	// BatchExec configures interleaved sweep execution (DESIGN.md §15):
-	// workers claim a whole pass of posted slots up front and hand runs of
-	// typed key/value ops to the structure's batch kernel, which overlaps
-	// their traversal cache misses with software prefetch. The zero value
-	// disables it: sweeps claim-execute-answer one slot at a time.
+	// BatchExec is ignored.
+	//
+	// Deprecated: every sweep now hands runs of typed key/value ops to the
+	// structure's batch kernel (DESIGN.md §15); there is no axis left to
+	// configure. The field remains so existing callers still compile.
 	BatchExec BatchExecConfig
 }
 
@@ -147,20 +147,12 @@ type ArenaConfig struct {
 	MaxBytes int
 }
 
-// BatchExecConfig is the interleaved-execution axis of a configuration.
-// Only typed ops issued through Session.InvokeKV / SubmitKV reach a batch
-// kernel; closure tasks always execute serially, in slot order, inside the
-// same pass. Structures without a kernel simply never receive typed ops, so
-// the axis is safe to enable for any plan.
+// BatchExecConfig is the type of the ignored Config.BatchExec field.
+//
+// Deprecated: the runtime has no batched-execution axis; nothing reads it.
 type BatchExecConfig struct {
-	// Enabled turns the interleaved batched sweep body on.
 	Enabled bool
-	// Width caps how many same-kernel typed ops one ExecBatch call covers
-	// (the group-prefetch width). Clamped to the slot count per buffer;
-	// values below 2 disable the axis (a group of one cannot overlap
-	// anything). 0 with Enabled uses the delegation default of the full
-	// buffer.
-	Width int
+	Width   int
 }
 
 // Validate checks the configuration's internal consistency.
@@ -416,13 +408,6 @@ func Start(cfg Config, structures map[string]any) (*Runtime, error) {
 				a := mem.New(mem.Options{SlabAllocs: cfg.Arena.SlabAllocs, MaxBytes: cfg.Arena.MaxBytes})
 				d.arenas = append(d.arenas, a)
 				b.SetArena(a)
-			}
-			if cfg.BatchExec.Enabled {
-				w := cfg.BatchExec.Width
-				if w == 0 {
-					w = delegation.SlotsPerBuffer
-				}
-				b.SetBatchExec(w)
 			}
 			bufs = append(bufs, b)
 		}
@@ -682,22 +667,6 @@ type sessionClient struct {
 	qhead   *AsyncFuture
 	qtail   *AsyncFuture
 	pool    *AsyncFuture
-
-	// Batch-invocation state: the reusable thunk of InvokeBatch reads these
-	// exactly like thunk reads ds/op.
-	bds    any
-	bops   []func(ds any) any
-	bout   []any
-	bthunk delegation.Task
-
-	// Typed-op state (InvokeKVLogged): the reusable KV record encoder
-	// prefixes the structure name and delegates to the caller's encoder,
-	// exactly like logenc does for closure tasks. The worker invokes it
-	// with the slot's own kind/key/val, so unlike logenc it needs no
-	// per-call argument capture beyond these two fields.
-	kvName string
-	kvApp  delegation.KVEncoder
-	kvenc  delegation.KVEncoder
 }
 
 // asyncThunk is one reserved slot's argument block on the pipelined path.
@@ -871,16 +840,6 @@ func (s *Session) client(d *Domain) (*sessionClient, error) {
 	sc.thunk = func() any { return sc.op(sc.ds) }
 	sc.logenc = func(dst []byte) []byte {
 		return sc.logApp(appendWALName(dst, sc.logName))
-	}
-	sc.bthunk = func() any {
-		ds := sc.bds
-		for i, op := range sc.bops {
-			sc.bout[i] = op(ds)
-		}
-		return nil
-	}
-	sc.kvenc = func(dst []byte, kind uint8, key, val uint64) []byte {
-		return sc.kvApp(appendWALName(dst, sc.kvName), kind, key, val)
 	}
 	sc.athunks = make([]asyncThunk, len(slots))
 	for i := range sc.athunks {
@@ -1081,24 +1040,14 @@ func (s *Session) Invoke(task Task) (any, error) {
 // InvokeKV submits one typed key/value op (delegation.KVGet, KVInsert,
 // KVUpdate or KVDelete) against the named structure and waits for its
 // value/found pair. The op travels as three words in the slot — no closure,
-// no boxing — and executes through the structure's batch kernel: when the
-// owning worker runs interleaved sweeps (Config.BatchExec) adjacent typed
-// ops are grouped into one kernel call that overlaps their traversal cache
-// misses with software prefetch; otherwise the kernel runs them one at a
-// time with identical semantics. The structure must implement
+// no boxing — and executes through the structure's batch kernel: the owning
+// worker's sweep groups adjacent typed ops on the same structure into one
+// kernel call that overlaps their traversal cache misses with software
+// prefetch (a lone op is a group of one). The structure must implement
 // delegation.BatchKernel (every built-in index does); structures without a
 // kernel must use Invoke with a closure task.
 func (s *Session) InvokeKV(structure string, kind uint8, key, val uint64) (uint64, bool, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return 0, false, err
-	}
-	kern, ok := ds.(delegation.BatchKernel)
-	if !ok {
-		return 0, false, fmt.Errorf("core: structure %q has no batch kernel; use Invoke", structure)
-	}
-	sc, err := s.client(d)
+	_, kern, sc, err := s.kvRoute(structure, "Invoke")
 	if err != nil {
 		return 0, false, err
 	}
@@ -1111,32 +1060,21 @@ func (s *Session) InvokeKV(structure string, kind uint8, key, val uint64) (uint6
 	return v, found, nil
 }
 
-// InvokeKVLogged is InvokeKV for a logged mutation: enc encodes the op's
-// logical WAL record from its kind/key/val (the structure-name prefix is
-// added by the session) and the call returns only after the record's group
-// commit — a nil error means durable.
-func (s *Session) InvokeKVLogged(structure string, kind uint8, key, val uint64, enc delegation.KVEncoder) (uint64, bool, error) {
+// kvRoute resolves a typed op's structure to its owning domain, its batch
+// kernel and this session's client there; alt names the closure call to
+// use instead when the structure has no kernel.
+func (s *Session) kvRoute(structure, alt string) (*Domain, delegation.BatchKernel, *sessionClient, error) {
 	s.noteWrite(structure, 1)
 	d, ds, err := s.rt.route(structure)
 	if err != nil {
-		return 0, false, err
+		return nil, nil, nil, err
 	}
 	kern, ok := ds.(delegation.BatchKernel)
 	if !ok {
-		return 0, false, fmt.Errorf("core: structure %q has no batch kernel; use Invoke", structure)
+		return nil, nil, nil, fmt.Errorf("core: structure %q has no batch kernel; use %s", structure, alt)
 	}
 	sc, err := s.client(d)
-	if err != nil {
-		return 0, false, err
-	}
-	sc.ensureFree()
-	sc.kvName, sc.kvApp = structure, enc
-	v, found, err := sc.c.InvokeKVLoggedErr(kern, kind, key, val, sc.kvenc)
-	if err != nil {
-		s.rt.faults.TasksFailed.Add(1)
-		return 0, false, err
-	}
-	return v, found, nil
+	return d, kern, sc, err
 }
 
 // SubmitKV issues one pipelined typed op and returns its future without
@@ -1146,16 +1084,7 @@ func (s *Session) InvokeKVLogged(structure string, kind uint8, key, val uint64, 
 // prefetch-interleaved kernel call. Synchronise with WaitKV (or Barrier,
 // then WaitKV for the cached results).
 func (s *Session) SubmitKV(structure string, kind uint8, key, val uint64) (*AsyncFuture, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, err
-	}
-	kern, ok := ds.(delegation.BatchKernel)
-	if !ok {
-		return nil, fmt.Errorf("core: structure %q has no batch kernel; use SubmitAsync", structure)
-	}
-	sc, err := s.client(d)
+	d, kern, sc, err := s.kvRoute(structure, "SubmitAsync")
 	if err != nil {
 		return nil, err
 	}
@@ -1198,37 +1127,6 @@ func (s *Session) SubmitBulk(structure string, ops []func(ds any) any) ([]any, e
 		s.rt.faults.TasksFailed.Add(1)
 	}
 	return out, err
-}
-
-// InvokeBatch executes several operations against the same structure as ONE
-// delegated task — same-domain task fusion: the worker runs the ops in order
-// in a single sweep, so the batch pays one round trip instead of len(ops).
-// Results come back in order. If an op panics, the whole batch completes
-// with its PanicError; results of the ops that ran before the panic are
-// already filled in, the rest stay nil.
-//
-// Like Invoke, the batch rides a reusable per-domain thunk and the slot's
-// recycled future — the only steady-state allocation is the results slice.
-func (s *Session) InvokeBatch(structure string, ops []func(ds any) any) ([]any, error) {
-	s.noteWrite(structure, uint64(len(ops)))
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	sc.ensureFree()
-	out := make([]any, len(ops))
-	sc.bds, sc.bops, sc.bout = ds, ops, out
-	_, err = sc.c.InvokeErr(sc.bthunk)
-	sc.bds, sc.bops, sc.bout = nil, nil, nil
-	if err != nil {
-		s.rt.faults.TasksFailed.Add(1)
-		return out, err
-	}
-	return out, nil
 }
 
 // Close drains all outstanding tasks and returns the session's slots. The

@@ -3,7 +3,9 @@ package delegation
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"robustconf/internal/index"
@@ -23,10 +25,13 @@ func TestKVKindsMatchIndexBatchKinds(t *testing.T) {
 	}
 }
 
-// mapKernel is the protocol fake: a BatchKernel over a plain map that
-// records the group size of every ExecBatch call and can be armed to panic
-// on a specific key.
+// mapKernel is the protocol fake: a BatchKernel over a map that records the
+// group size of every ExecBatch call and can be armed to panic on a specific
+// key. Like a real kernel it is safe for concurrent ExecBatch calls (the
+// index.BatchKernel contract): a live sweep and Seal's final sweep may run
+// kernel runs on different claimed slots at the same time.
 type mapKernel struct {
+	mu       sync.Mutex
 	m        map[uint64]uint64
 	groups   []int
 	panicKey uint64 // ExecBatch panics on reaching this key (0 = never)
@@ -35,6 +40,8 @@ type mapKernel struct {
 func newMapKernel() *mapKernel { return &mapKernel{m: map[uint64]uint64{}} }
 
 func (k *mapKernel) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	k.groups = append(k.groups, len(kinds))
 	for i := range kinds {
 		if k.panicKey != 0 && keys[i] == k.panicKey {
@@ -63,16 +70,13 @@ func (k *mapKernel) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOK
 	}
 }
 
-// newBatchedClient builds a single 15-slot buffer with interleaving armed at
-// the given width, and a client owning 14 of its slots.
-func newBatchedClient(t *testing.T, width int) (*Buffer, *Client) {
+// newBatchedClient builds a single 15-slot buffer and a client owning 14 of
+// its slots.
+func newBatchedClient(t *testing.T) (*Buffer, *Client) {
 	t.Helper()
 	b, err := NewBuffer(0, SlotsPerBuffer)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if width != 0 {
-		b.SetBatchExec(width)
 	}
 	in, err := NewInbox([]*Buffer{b})
 	if err != nil {
@@ -104,7 +108,7 @@ func postKVt(t *testing.T, c *Client, kern BatchKernel, kind uint8, key, val uin
 // same-kernel typed ops, and answer every future with the serially-correct
 // result.
 func TestBatchedSweepGroupsAndAnswers(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	ka, kb := newMapKernel(), newMapKernel()
 	ka.m[7] = 70
 	kb.m[9] = 90
@@ -156,25 +160,85 @@ func TestBatchedSweepGroupsAndAnswers(t *testing.T) {
 	}
 }
 
-// TestBatchedSweepWidthCapsGroups pins the group-width clamp: at width 4 a
-// run of 10 same-kernel ops must execute as 4+4+2.
-func TestBatchedSweepWidthCapsGroups(t *testing.T) {
-	buf, c := newBatchedClient(t, 4)
+// TestSweepRunCoversBurst pins the run rule: with no width cap, a burst of
+// 14 same-kernel typed ops executes as one ExecBatch call of 14.
+func TestSweepRunCoversBurst(t *testing.T) {
+	buf, c := newBatchedClient(t)
 	k := newMapKernel()
-	var hs [10]InvokeHandle
+	var hs [14]InvokeHandle
 	for i := range hs {
 		hs[i] = postKVt(t, c, k, KVInsert, uint64(i+1), uint64(i))
 	}
-	if n := buf.Sweep(); n != 10 {
-		t.Fatalf("sweep answered %d, want 10", n)
+	if n := buf.Sweep(); n != 14 {
+		t.Fatalf("sweep answered %d, want 14", n)
 	}
 	for i := range hs {
 		if _, ok, err := c.AwaitKV(hs[i]); err != nil || !ok {
 			t.Fatalf("insert %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if len(k.groups) != 3 || k.groups[0] != 4 || k.groups[1] != 4 || k.groups[2] != 2 {
-		t.Fatalf("groups = %v, want [4 4 2]", k.groups)
+	if len(k.groups) != 1 || k.groups[0] != 14 {
+		t.Fatalf("groups = %v, want [14]", k.groups)
+	}
+}
+
+// windowKernel wraps mapKernel and records, per ExecBatch call, whether
+// the buffer's mutating window was open while the run executed.
+type windowKernel struct {
+	*mapKernel
+	buf  *Buffer
+	open []bool
+}
+
+func (k *windowKernel) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool) {
+	k.open = append(k.open, k.buf.MutEnter() != k.buf.MutExit())
+	k.mapKernel.ExecBatch(kinds, keys, vals, outVals, outOKs)
+}
+
+// TestSweepMutatingWindowLazy pins the window rule: a pass of reads only
+// never opens the mutating window; in a mixed pass the window opens just
+// before the first run holding a non-read op, so a read run ahead of it
+// executes with the window closed, and the pass closes it by its end.
+func TestSweepMutatingWindowLazy(t *testing.T) {
+	buf, c := newBatchedClient(t)
+	k := &windowKernel{mapKernel: newMapKernel(), buf: buf}
+	k.m[1] = 10
+	enter := buf.MutEnter()
+
+	h1 := postKVt(t, c, k, KVGet, 1, 0)
+	h2 := postKVt(t, c, k, KVGet, 1, 0)
+	buf.Sweep()
+	for _, h := range []InvokeHandle{h1, h2} {
+		if _, ok, err := c.AwaitKV(h); err != nil || !ok {
+			t.Fatalf("get ok=%v err=%v", ok, err)
+		}
+	}
+	if got := buf.MutEnter(); got != enter {
+		t.Fatalf("read-only pass moved MutEnter %d → %d", enter, got)
+	}
+
+	h3 := postKVt(t, c, k, KVGet, 1, 0)
+	h4 := postKVt(t, c, k, KVGet, 1, 0)
+	i5, _ := c.Reserve()
+	h5 := c.PostReserved(i5, func() any { return nil }) // unflagged: mutating
+	h6 := postKVt(t, c, k, KVGet, 1, 0)
+	buf.Sweep()
+	for _, h := range []InvokeHandle{h3, h4, h6} {
+		if _, _, err := c.AwaitKV(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Await(h5); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{false, false, true}; fmt.Sprint(k.open) != fmt.Sprint(want) {
+		t.Fatalf("window open per kernel run = %v, want %v", k.open, want)
+	}
+	if got := buf.MutEnter(); got != enter+1 {
+		t.Fatalf("mixed pass: MutEnter %d → %d, want one window", enter, got)
+	}
+	if buf.MutExit() != buf.MutEnter() {
+		t.Fatalf("window left open: exit %d enter %d", buf.MutExit(), buf.MutEnter())
 	}
 }
 
@@ -184,7 +248,7 @@ func TestBatchedSweepWidthCapsGroups(t *testing.T) {
 // task and the second kernel's run in the same pass still succeed, and the
 // buffer keeps serving afterwards.
 func TestBatchedSweepKernelPanicFailsRun(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	ka, kb := newMapKernel(), newMapKernel()
 	ka.panicKey = 2
 
@@ -223,7 +287,7 @@ func TestBatchedSweepKernelPanicFailsRun(t *testing.T) {
 // between typed runs: only it fails, and in slot order the typed ops before
 // and after still execute.
 func TestBatchedSweepOpaquePanicMidBatch(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	k := newMapKernel()
 	h1 := postKVt(t, c, k, KVInsert, 1, 10)
 	i2, _ := c.Reserve()
@@ -281,7 +345,7 @@ func testKVEnc(dst []byte, kind uint8, key, val uint64) []byte {
 // mutations stage records in execution order and complete only after the
 // group commit; the typed read completes inline and stages nothing.
 func TestBatchedSweepWALStagesAndCommits(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	w := &recordingWAL{}
 	buf.SetWAL(w)
 	k := newMapKernel()
@@ -327,7 +391,7 @@ func TestBatchedSweepWALStagesAndCommits(t *testing.T) {
 // future fails with a PanicError carrying the commit error, while inline
 // completions (the typed read) keep their results.
 func TestBatchedSweepWALCommitErrorFailsStashed(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	w := &recordingWAL{commitErr: errors.New("disk gone")}
 	buf.SetWAL(w)
 	k := newMapKernel()
@@ -353,7 +417,7 @@ func TestBatchedSweepWALCommitErrorFailsStashed(t *testing.T) {
 // batch, fail the already-stashed and the claimed-but-unanswered futures
 // with PanicError, and re-raise to the sweep's caller.
 func TestBatchedSweepWALPanicAborts(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	w := &recordingWAL{panicOnStage: 2}
 	buf.SetWAL(w)
 	k := newMapKernel()
@@ -392,7 +456,7 @@ func TestBatchedSweepWALPanicAborts(t *testing.T) {
 // batched body.
 func TestBatchedSweepSealRace(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		buf, c := newBatchedClient(t, SlotsPerBuffer)
+		buf, c := newBatchedClient(t)
 		k := newMapKernel()
 		var hs [14]InvokeHandle
 		for i := range hs {
@@ -424,11 +488,112 @@ func TestBatchedSweepSealRace(t *testing.T) {
 	}
 }
 
+// lockedWAL is a WALSink fake safe for the concurrent passes of a seal
+// race: it applies each encoder eagerly and counts the staged records.
+type lockedWAL struct {
+	mu     sync.Mutex
+	staged int
+}
+
+func (w *lockedWAL) Begin() {}
+
+func (w *lockedWAL) StageRecord(enc func(dst []byte) []byte) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	enc(nil)
+	w.staged++
+}
+
+func (w *lockedWAL) Commit(allowFaults bool) error { return nil }
+
+func (w *lockedWAL) Abort() {}
+
+// TestSweepSealRaceMixed races live sweeps against Seal while a mixed
+// burst is still being posted: typed inserts, plain closures and logged
+// closures. The live passes claim into the worker's scratch and the seal's
+// final pass into the sealed-path scratch, so under -race the two never
+// share staging arrays, stash entries or unclaimed slot fields. Every op
+// completes exactly once — executed by one of the passes, or rescued with
+// ErrWorkerStopped when its post lands after the seal — and the kernel,
+// closure counters and staged records all match the executed counts.
+func TestSweepSealRaceMixed(t *testing.T) {
+	enc := func(dst []byte) []byte { return append(dst, 'L') }
+	for round := 0; round < 50; round++ {
+		buf, c := newBatchedClient(t)
+		w := &lockedWAL{}
+		buf.SetWAL(w)
+		k := newMapKernel()
+		var plain, logged atomic.Int64
+		var hs [14]InvokeHandle
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			for i := range hs {
+				slot, ok := c.Reserve()
+				if !ok {
+					panic("no free slot")
+				}
+				switch i % 3 {
+				case 0:
+					hs[i] = c.PostReservedKV(slot, k, KVInsert, uint64(i+1), uint64(i))
+				case 1:
+					hs[i] = c.PostReserved(slot, func() any { plain.Add(1); return nil })
+				default:
+					hs[i] = c.PostReservedLogged(slot, func() any { logged.Add(1); return nil }, enc)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				buf.Sweep()
+			}
+		}()
+		go func() { defer wg.Done(); buf.Seal() }()
+		wg.Wait()
+		var executed [3]int
+		stopped := 0
+		for i := range hs {
+			var err error
+			if i%3 == 0 {
+				var ok bool
+				if _, ok, err = c.AwaitKV(hs[i]); err == nil && !ok {
+					t.Fatalf("round %d op %d: insert of a fresh key reported !ok", round, i)
+				}
+			} else {
+				_, err = c.Await(hs[i])
+			}
+			switch {
+			case err == nil:
+				executed[i%3]++
+			case errors.Is(err, ErrWorkerStopped):
+				stopped++
+			default:
+				t.Fatalf("round %d op %d: err=%v", round, i, err)
+			}
+		}
+		if got := executed[0] + executed[1] + executed[2] + stopped; got != len(hs) {
+			t.Fatalf("round %d: %v executed + %d stopped != %d posted", round, executed, stopped, len(hs))
+		}
+		if len(k.m) != executed[0] {
+			t.Fatalf("round %d: kernel holds %d keys, %d typed ops executed", round, len(k.m), executed[0])
+		}
+		if int(plain.Load()) != executed[1] || int(logged.Load()) != executed[2] {
+			t.Fatalf("round %d: closures ran %d/%d, executed %d/%d",
+				round, plain.Load(), logged.Load(), executed[1], executed[2])
+		}
+		if w.staged != executed[2] {
+			t.Fatalf("round %d: %d records staged, %d logged closures executed", round, w.staged, executed[2])
+		}
+	}
+}
+
 // TestBatchedSweepPostAfterSealRescued: a typed post into a sealed buffer
 // must be rescued with ErrWorkerStopped (the stop/post race contract,
 // extended to postKV).
 func TestBatchedSweepPostAfterSealRescued(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	buf.Seal()
 	k := newMapKernel()
 	h := postKVt(t, c, k, KVInsert, 1, 10)
@@ -437,53 +602,5 @@ func TestBatchedSweepPostAfterSealRescued(t *testing.T) {
 	}
 	if len(k.m) != 0 {
 		t.Fatal("sealed post executed")
-	}
-}
-
-// TestSetBatchExecClamps pins the width clamp: below 2 disables the batched
-// body, above the slot count clamps to it.
-func TestSetBatchExecClamps(t *testing.T) {
-	b, err := NewBuffer(0, SlotsPerBuffer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetBatchExec(1)
-	if b.batchWidth != 0 {
-		t.Errorf("width 1 → %d, want 0 (disabled)", b.batchWidth)
-	}
-	b.SetBatchExec(1000)
-	if b.batchWidth != SlotsPerBuffer {
-		t.Errorf("width 1000 → %d, want %d", b.batchWidth, SlotsPerBuffer)
-	}
-	b.SetBatchExec(8)
-	if b.batchWidth != 8 {
-		t.Errorf("width 8 → %d", b.batchWidth)
-	}
-}
-
-// TestInvokeKVSerialFallback runs typed ops through a buffer with
-// interleaving off: they must execute through the kernel one at a time
-// (groups of 1) with identical results — the degraded path structures get
-// when the axis is disabled.
-func TestInvokeKVSerialFallback(t *testing.T) {
-	buf, c := newBatchedClient(t, 0)
-	k := newMapKernel()
-	h1 := postKVt(t, c, k, KVInsert, 1, 10)
-	h2 := postKVt(t, c, k, KVGet, 1, 0)
-	buf.Sweep()
-	if _, ok, err := c.AwaitKV(h1); err != nil || !ok {
-		t.Fatalf("insert ok=%v err=%v", ok, err)
-	}
-	if v, ok, err := c.AwaitKV(h2); err != nil || !ok || v != 10 {
-		t.Fatalf("get = %d,%v,%v", v, ok, err)
-	}
-	for i, g := range k.groups {
-		if g != 1 {
-			t.Fatalf("serial path group %d has size %d, want 1", i, g)
-		}
-	}
-	buf.SyncStats()
-	if got := buf.BatchSweeps.Load(); got != 0 {
-		t.Errorf("BatchSweeps = %d on the serial path, want 0", got)
 	}
 }

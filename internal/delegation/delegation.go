@@ -127,11 +127,11 @@ func (f *Future) begin() uint64 {
 	return w
 }
 
-// awaitToken blocks until the generation identified by tok completes, then
-// returns its result. Only the slot-owning client calls it (the embedded
-// future is never handed out), so the word cannot move past tok's completion
-// while we wait.
-func (f *Future) awaitToken(tok uint64) (any, error) {
+// waitPast blocks until the future's word moves off tok and returns the
+// new word, spinning (yielding) first and then sleeping with exponential
+// backoff. On a slot-embedded future only the owning client waits, so the
+// word cannot move past tok's completion while it does.
+func (f *Future) waitPast(tok uint64) uint64 {
 	w := f.word.Load()
 	for i := 0; w == tok && i < waitSpins; i++ {
 		runtime.Gosched()
@@ -145,42 +145,38 @@ func (f *Future) awaitToken(tok uint64) (any, error) {
 		}
 		w = f.word.Load()
 	}
-	failed := w&futStateMask == futError
+	return w
+}
+
+// awaitWord blocks until the generation identified by tok completes,
+// finalises its span, and reports whether it failed.
+func (f *Future) awaitWord(tok uint64) (failed bool) {
+	failed = f.waitPast(tok)&futStateMask == futError
 	f.span.Resolve(failed)
-	if failed {
+	return failed
+}
+
+// awaitToken blocks until the generation identified by tok completes, then
+// returns its result.
+func (f *Future) awaitToken(tok uint64) (any, error) {
+	if f.awaitWord(tok) {
 		return nil, f.err
 	}
 	return f.val, nil
 }
 
-// awaitTokenKV is awaitToken for a typed KV post: it blocks until the
-// generation identified by tok completes and returns the typed result
-// without boxing. Only the slot-owning client calls it.
+// awaitTokenKV is awaitToken for a typed KV post: it returns the typed
+// result without boxing.
 func (f *Future) awaitTokenKV(tok uint64) (uint64, bool, error) {
-	w := f.word.Load()
-	for i := 0; w == tok && i < waitSpins; i++ {
-		runtime.Gosched()
-		w = f.word.Load()
-	}
-	d := waitSleepMin
-	for w == tok {
-		time.Sleep(d)
-		if d < waitSleepMax {
-			d *= 2
-		}
-		w = f.word.Load()
-	}
-	failed := w&futStateMask == futError
-	f.span.Resolve(failed)
-	if failed {
+	if f.awaitWord(tok) {
 		return 0, false, f.err
 	}
 	return f.kvVal, f.kvOK, nil
 }
 
 // complete publishes a value result for the current generation; used by
-// tests and benchmarks that drive futures directly (the worker path in
-// sweepSlots claims the slot first and CASes the word inline).
+// tests and benchmarks that drive futures directly (the worker's sweep
+// claims the slot first and CASes the word inline).
 func (f *Future) complete(v any) {
 	w := f.word.Load()
 	if w&futStateMask != futPending {
@@ -233,21 +229,10 @@ const (
 	waitSleepMax = 100 * time.Microsecond
 )
 
-// block waits until the future completes, spinning first and then sleeping
-// with exponential backoff.
+// block waits until the future completes.
 func (f *Future) block() {
-	for i := 0; i < waitSpins; i++ {
-		if f.word.Load()&futStateMask != futPending {
-			return
-		}
-		runtime.Gosched()
-	}
-	d := waitSleepMin
-	for f.word.Load()&futStateMask == futPending {
-		time.Sleep(d)
-		if d < waitSleepMax {
-			d *= 2
-		}
+	if w := f.word.Load(); w&futStateMask == futPending {
+		f.waitPast(w)
 	}
 }
 
@@ -288,42 +273,30 @@ func (f *Future) Result() (any, error) {
 // complete afterwards.
 func (f *Future) WaitTimeout(d time.Duration) (any, error) {
 	deadline := time.Now().Add(d)
-	for i := 0; i < waitSpins; i++ {
-		if f.Done() {
-			return f.Result()
-		}
-		runtime.Gosched()
-	}
-	sleep := waitSleepMin
-	for !f.Done() {
+	return f.waitUnless(func() error {
 		if time.Now().After(deadline) {
-			return nil, ErrWaitTimeout
+			return ErrWaitTimeout
 		}
-		time.Sleep(sleep)
-		if sleep < waitSleepMax {
-			sleep *= 2
-		}
-	}
-	return f.Result()
+		return nil
+	})
 }
 
 // WaitCtx waits until the result is available or the context is cancelled,
 // returning the context's error in the latter case. The future remains
 // valid after cancellation.
-func (f *Future) WaitCtx(ctx context.Context) (any, error) {
-	for i := 0; i < waitSpins; i++ {
-		if f.Done() {
-			return f.Result()
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		runtime.Gosched()
-	}
+func (f *Future) WaitCtx(ctx context.Context) (any, error) { return f.waitUnless(ctx.Err) }
+
+// waitUnless waits like block, but gives up with stop's error as soon as
+// stop reports one while the future is still pending.
+func (f *Future) waitUnless(stop func() error) (any, error) {
 	sleep := waitSleepMin
-	for !f.Done() {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+	for i := 0; !f.Done(); i++ {
+		if err := stop(); err != nil {
+			return nil, err
+		}
+		if i < waitSpins {
+			runtime.Gosched()
+			continue
 		}
 		time.Sleep(sleep)
 		if sleep < waitSleepMax {
@@ -382,50 +355,56 @@ type Slot struct {
 // posted reports whether the slot currently holds an unclaimed task.
 func (s *Slot) posted() bool { return s.state.Load()&1 == 1 }
 
+// claim takes a posted slot for the caller: a CAS of the version from
+// posted to free (the loser of a race walks away), then the future's
+// pending word, which the caller's completion CAS must match. No slot field
+// is read before the CAS wins; afterwards the fields stay stable, because
+// the owning client never reposts before observing the completion. Every
+// completer — worker sweep, seal rescue, crash fail-over — claims here.
+func (s *Slot) claim() (uint64, bool) {
+	v := s.state.Load()
+	if v&1 == 0 || !s.state.CompareAndSwap(v, v+1) {
+		return 0, false
+	}
+	w := s.fut.word.Load()
+	return w, w&futStateMask == futPending
+}
+
 // post publishes a task into the slot. The client must own the slot and the
 // slot must be free. f is either a fresh detached future (Delegate) or the
 // slot's own recycled fut0 with its generation already begun (InvokeErr).
 // enc, when non-nil, is the task's logical WAL record encoder: the sweep
 // stages its output and defers the future's completion to the group commit.
-//
-// The sealed check after the posted store closes the stop/post race: both
-// sides use sequentially consistent atomics, so either the worker's final
-// sweep observes the posted slot, or this client observes the seal and
-// rescues its own task with ErrWorkerStopped — a post can never dangle.
 func (s *Slot) post(t Task, f *Future, ro bool, enc func(dst []byte) []byte) {
-	s.task = t
-	s.fut = f
-	s.ro = ro
-	s.enc = enc
-	s.kern = nil // opaque post: the sweep must not route it through a kernel
-	s.state.Store(s.state.Load() + 1) // release: publishes task+fut+ro+enc to the worker
-	if s.buf.sealed.Load() {
-		s.buf.rescue(s)
-	}
+	s.task, s.kern = t, nil // opaque post: the sweep must not route it through a kernel
+	s.publish(f, ro, enc)
 }
 
 // postKV publishes a typed KV operation into the slot: kern is the target
 // structure's batch kernel, kind/key/val the operation. A KVGet posts as
 // read-only (it must not open the mutating-batch window, like
-// InvokeReadErr); a mutation with a non-nil kvenc posts with the prebuilt
-// encKV record encoder so the WAL sweep stages and group-commits it exactly
-// like a logged closure task. The same sealed check as post closes the
-// stop/post race.
+// InvokeReadErr); with a non-nil kvenc the prebuilt encKV record encoder
+// rides along so the sweep stages and group-commits a mutation exactly
+// like a logged closure task.
 func (s *Slot) postKV(kern BatchKernel, kind uint8, key, val uint64, f *Future, kvenc KVEncoder) {
-	s.task = nil
-	s.fut = f
-	s.kern = kern
-	s.kind = kind
-	s.key = key
-	s.val = val
-	s.kvenc = kvenc
-	s.ro = kind == KVGet
-	if kvenc != nil && kind != KVGet {
-		s.enc = s.encKV
-	} else {
-		s.enc = nil
+	s.task, s.kern = nil, kern
+	s.kind, s.key, s.val, s.kvenc = kind, key, val, kvenc
+	var enc func(dst []byte) []byte
+	if kvenc != nil {
+		enc = s.encKV
 	}
-	s.state.Store(s.state.Load() + 1) // release: publishes the typed op to the worker
+	s.publish(f, kind == KVGet, enc)
+}
+
+// publish completes a post: it stores the shared op fields and flips the
+// slot to posted. The sealed check after the posted store closes the
+// stop/post race: both sides use sequentially consistent atomics, so
+// either the worker's final sweep observes the posted slot, or this client
+// observes the seal and rescues its own task with ErrWorkerStopped — a
+// post can never dangle.
+func (s *Slot) publish(f *Future, ro bool, enc func(dst []byte) []byte) {
+	s.fut, s.ro, s.enc = f, ro, enc
+	s.state.Store(s.state.Load() + 1) // release: publishes the op fields to the worker
 	if s.buf.sealed.Load() {
 		s.buf.rescue(s)
 	}
@@ -466,39 +445,11 @@ type Buffer struct {
 
 	probe *obs.WorkerShard // telemetry shard; nil by default, set before workers run
 
-	// wal, when set, routes sweeps through sweepSlotsWAL: mutating tasks
-	// that carry a record encoder are staged into the worker's log and
-	// their futures complete only after the batch group-commits (success
-	// implies durable). Nil — the default — keeps Sweep on the original
-	// body, so the WAL-off hot path is unchanged. stash holds the
-	// executed-but-uncommitted completions between execute and commit; it
-	// is worker-local state, preallocated so the logged path stays
-	// allocation-free.
-	wal   WALSink
-	stash [SlotsPerBuffer]walStash
-
-	// Interleaved batched execution (DESIGN.md §15), armed by SetBatchExec:
-	// batchWidth > 0 routes local sweeps through sweepSlotsBatch, which
-	// claims the whole pass first and then executes same-kernel runs of
-	// typed slots (capped at batchWidth) through one ExecBatch call. The bk*
-	// arrays are the pass's claim list and kernel staging area; bk1* is the
-	// single-op staging used by the serial bodies' typed branch. All are
-	// worker-local in the same sense as stash: written by the owning
-	// worker's sweeps, and by sealed-path sweeps only under the shutdown
-	// discipline that keeps them off live-worker passes.
-	batchWidth int
-	bkSlot     [SlotsPerBuffer]*Slot
-	bkW        [SlotsPerBuffer]uint64
-	bkKind     [SlotsPerBuffer]uint8
-	bkKey      [SlotsPerBuffer]uint64
-	bkVal      [SlotsPerBuffer]uint64
-	bkOutV     [SlotsPerBuffer]uint64
-	bkOutOK    [SlotsPerBuffer]bool
-	bk1Kind    [1]uint8
-	bk1Key     [1]uint64
-	bk1Val     [1]uint64
-	bk1OutV    [1]uint64
-	bk1OutOK   [1]bool
+	// wal, when set, adds the sweep's staging step: mutating tasks that
+	// carry a record encoder are staged into the worker's log and their
+	// futures complete only after the pass group-commits (success implies
+	// durable). Nil — the default — skips it.
+	wal WALSink
 
 	// arena, when set, is the worker-owned batch allocator recycled at
 	// sweep-batch boundaries: after a non-empty local sweep completes (and,
@@ -509,7 +460,13 @@ type Buffer struct {
 	// goroutines, and Reset is owner-only.
 	arena ArenaSink
 
-	_ [64]byte // keep the worker-local mirrors off the lifecycle fields' line
+	_ [64]byte // keep the worker-written state below off the lifecycle fields' line
+
+	// Per-pass scratch: scr for the worker's live sweeps, sealScr for
+	// sealed-path sweeps under sealMu. Preallocated so the pass stays
+	// allocation-free. Every non-empty pass writes its claim list here, so
+	// it must not share a line with sealed, which every post reads.
+	scr, sealScr sweepScratch
 
 	// Worker-local stat mirrors: written only by the owning worker's
 	// unsealed sweeps, published to the atomics below on the flush cadence.
@@ -527,7 +484,7 @@ type Buffer struct {
 	Sweeps         atomic.Uint64 // buffer sweeps (poll rounds)
 	EmptySweep     atomic.Uint64 // sweeps that found no posted slot
 	Batched        atomic.Uint64 // tasks answered in multi-task sweeps (batching)
-	BatchSweeps    atomic.Uint64 // non-empty passes of the interleaved batched path
+	BatchSweeps    atomic.Uint64 // passes that ran at least one kernel run
 	BatchKernelOps atomic.Uint64 // typed ops executed through batch kernels
 	pubPending     atomic.Int64  // posted-slot gauge at last flush (obs export)
 
@@ -596,17 +553,28 @@ type WALSink interface {
 	Abort()
 }
 
-// walStash is one executed-but-uncommitted completion: the future, the
-// pending word to CAS against, and the task's result, parked between
-// execution and the batch's group commit. Typed KV results park in the kv
-// fields (kv=true) so the logged typed path stays free of boxing.
+// walStash is one executed-but-uncommitted completion, parked between
+// execution and the pass's group commit: the future, whose result fields
+// the sweep has already written, and the pending word its publishing CAS
+// must match.
 type walStash struct {
-	f     *Future
-	w     uint64
-	res   any
-	kv    bool
-	kvVal uint64
-	kvOK  bool
+	f *Future
+	w uint64
+}
+
+// sweepScratch is one pass's worker-local state: the claim list (each
+// claimed slot and the pending future word its claim observed), the staging
+// arrays a typed run hands to ExecBatch, and the WAL stash of executed-but-
+// uncommitted completions.
+type sweepScratch struct {
+	slot  [SlotsPerBuffer]*Slot
+	w     [SlotsPerBuffer]uint64
+	kind  [SlotsPerBuffer]uint8
+	key   [SlotsPerBuffer]uint64
+	val   [SlotsPerBuffer]uint64
+	outV  [SlotsPerBuffer]uint64
+	outOK [SlotsPerBuffer]bool
+	stash [SlotsPerBuffer]walStash
 }
 
 // SetWAL installs the worker's log handle, switching this buffer's sweeps
@@ -627,7 +595,7 @@ type ArenaSink interface {
 // hot path.
 func (b *Buffer) SetArena(a ArenaSink) { b.arena = a }
 
-// Typed KV op kinds for the batched-execution path. The values mirror
+// Typed KV op kinds for the sweep's kernel runs. The values mirror
 // index.BatchGet..BatchDelete numerically (a test pins the equality) so the
 // sweep can hand its claimed kinds straight to an index batch kernel without
 // this package importing internal/index — the same structural-decoupling
@@ -654,25 +622,6 @@ type BatchKernel interface {
 // kind/key/val fields, which stay stable from post until the future is
 // answered (the owning client never reposts before observing completion).
 type KVEncoder func(dst []byte, kind uint8, key, val uint64) []byte
-
-// SetBatchExec arms the interleaved batched-execution sweep path with the
-// given kernel group width: a local sweep claims every posted slot first,
-// then executes maximal same-kernel runs of typed slots (capped at width)
-// through BatchKernel.ExecBatch, overlapping their cache misses. width < 2
-// disables the path (serial sweeps, the default). Call before any worker
-// polls the buffer; the field is read without synchronisation on the hot
-// path. Opaque closure tasks and typed slots without a kernel still execute
-// serially inside a batched sweep — structures without a kernel silently
-// degrade, they never break.
-func (b *Buffer) SetBatchExec(width int) {
-	if width > SlotsPerBuffer {
-		width = SlotsPerBuffer
-	}
-	if width < 2 {
-		width = 0
-	}
-	b.batchWidth = width
-}
 
 // Sealed reports whether the buffer has been sealed.
 func (b *Buffer) Sealed() bool { return b.sealed.Load() }
@@ -759,27 +708,37 @@ func runTask(task Task, hook FaultHook, worker int) (res any) {
 	return task()
 }
 
-// runKV executes one claimed typed slot through its kernel via the
-// single-op staging arrays, converting a panic into a PanicError exactly
-// like runTask. Used by the serial sweep bodies (sealed-path sweeps, and
-// live sweeps with batched execution disabled) so typed posts behave
-// identically whichever body claims them.
-func (b *Buffer) runKV(s *Slot, hook FaultHook) (v uint64, ok bool, err error) {
+// runKernel executes the claimed typed run [i,j) of sc through kern with one
+// interleaved ExecBatch call over the scratch's staging arrays, converting a
+// panic — the kernel's own, or an injected BeforeTask fault's — into a
+// PanicError the caller applies to the run's ops. The worker survives, as
+// with any task panic; BeforeTask fires once per op in the run so injected
+// task-fault budgets drain at one per op whatever the run length.
+func (b *Buffer) runKernel(kern BatchKernel, sc *sweepScratch, i, j int, hook FaultHook) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			v, ok, err = 0, false, PanicError{Value: r}
+			err = PanicError{Value: r}
 		}
 	}()
 	if hook != nil {
-		hook.BeforeTask(b.worker)
+		for g := i; g < j; g++ {
+			hook.BeforeTask(b.worker)
+		}
 	}
-	b.bk1Kind[0] = s.kind
-	b.bk1Key[0] = s.key
-	b.bk1Val[0] = s.val
-	b.bk1OutV[0] = 0
-	b.bk1OutOK[0] = false
-	s.kern.ExecBatch(b.bk1Kind[:], b.bk1Key[:], b.bk1Val[:], b.bk1OutV[:], b.bk1OutOK[:])
-	return b.bk1OutV[0], b.bk1OutOK[0], nil
+	kern.ExecBatch(sc.kind[i:j], sc.key[i:j], sc.val[i:j], sc.outV[i:j], sc.outOK[i:j])
+	return nil
+}
+
+// failFuture completes a claimed slot's future (pending word w) with err and
+// reports whether it published.
+func (b *Buffer) failFuture(f *Future, w uint64, err error) bool {
+	f.err = err
+	f.span.MarkResponded()
+	if !f.word.CompareAndSwap(w, w|futError) {
+		return false
+	}
+	b.Failed.Add(1)
+	return true
 }
 
 // Sweep executes all currently posted tasks in the buffer, in slot order,
@@ -796,167 +755,72 @@ func (b *Buffer) Sweep() int {
 		// No probe or local stats on the sealed path: seal/rescue sweeps may
 		// run on non-worker goroutines, which must not touch the worker's
 		// unsynchronised mirrors.
-		return b.sweepBody(nil, nil, false)
+		return b.sweep(nil, nil, false)
 	}
 	if h := b.hook; h != nil {
 		h.BeforeSweep(b.worker)
 	}
 	probe := b.probe
 	if probe == nil {
-		return b.sweepBody(b.hook, nil, true)
+		return b.sweep(b.hook, nil, true)
 	}
 	t0 := probe.SweepBegin()
-	n := b.sweepBody(b.hook, probe, true)
+	n := b.sweep(b.hook, probe, true)
 	probe.SweepEnd(t0, n)
 	return n
 }
 
-// sweepBody dispatches one pass over the slots: the interleaved batched
-// variant when SetBatchExec armed it (local sweeps only — sealed-path
-// sweeps may run on foreign goroutines and always take the serial bodies,
-// whose typed branch keeps KV slots working), the write-ahead logged
-// variant when a WAL sink is installed, the original body otherwise — the
-// WAL-off serial hot path pays two predictable branches.
-func (b *Buffer) sweepBody(hook FaultHook, probe *obs.WorkerShard, local bool) int {
-	if local && b.batchWidth > 0 {
-		return b.sweepSlotsBatch(hook, probe)
-	}
-	if b.wal != nil {
-		return b.sweepSlotsWAL(hook, probe, local)
-	}
-	return b.sweepSlots(hook, probe, local)
-}
-
-// sweepSlots is the sweep body. Callers on the sealed path hold sealMu and
-// pass a nil hook (shutdown must not re-inject faults), a nil probe, and
-// local=false so the worker-owned stat mirrors stay single-writer.
+// sweep is the one sweep body (DESIGN.md §15): a pass over the buffer in
+// three phases.
 //
-// Per posted slot: read the pending word of its future, claim the slot with
-// a CAS on its version (the loser of a racing seal-path sweep walks away),
-// execute, and publish the result with a CAS on the future word. Claiming
-// frees the slot version *before* the result is published — safe, because
-// the owning client never reposts until it has observed the completion.
-func (b *Buffer) sweepSlots(hook FaultHook, probe *obs.WorkerShard, local bool) int {
-	n := 0
-	mutating := false
+//  1. Claim: every posted slot is claimed (Slot.claim) into the claim list
+//     with the pending future word its completion CAS must match.
+//  2. Execute, in slot order: a maximal run of typed slots sharing a kernel
+//     goes through one interleaved ExecBatch call, which overlaps the run's
+//     traversal cache misses (a run holds at most SlotsPerBuffer ops by
+//     construction); a closure task runs in place as a run of one. The
+//     mutating window opens just before the first run holding a non-read
+//     op, so read-only passes never invalidate concurrent bypass readers.
+//  3. Answer: results publish with a CAS on each future's word. With a WAL
+//     sink, Begin runs after the claim phase (it takes the domain quiescence
+//     gate's read side, which every execution must hold, logged or not);
+//     logged mutations stage their records in execution order and park in
+//     the stash until the end-of-pass group commit, so a client observes
+//     success only once its record is durable (DESIGN.md §13).
+//
+// Local sweeps run with the worker's hook and probe over the worker's
+// scratch and count into its stat mirrors. Sealed-path sweeps (Seal, and
+// Sweep on a sealed buffer) hold sealMu and pass a nil hook (shutdown must
+// not re-inject faults), a nil probe and local=false; they use the second
+// scratch, so a final sweep racing a straggling live pass never shares an
+// array with it.
+//
+// A panic unwinding the pass (an injected worker kill, a commit fault, a
+// panicking record encoder) aborts the log batch and fails every stashed
+// and claimed-but-unanswered future with a PanicError — FailPending cannot
+// see claimed slots — then re-raises to Worker.Run's crash recovery. Those
+// tasks may have executed, but their effects were never committed, so after
+// recovery replays the committed prefix the client's retry re-converges.
+func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n int) {
+	sc := &b.scr
+	if !local {
+		sc = &b.sealScr
+	}
+	nc := 0
 	for i := range b.slots {
-		s := &b.slots[i]
-		v := s.state.Load() // acquire: sees task+fut when posted
-		if v&1 == 0 {
-			continue
-		}
-		f := s.fut
-		w := f.word.Load()
-		if w&futStateMask != futPending {
-			continue // answered by a racing completer this very moment
-		}
-		task := s.task
-		ro := s.ro
-		kern := s.kern
-		if !s.state.CompareAndSwap(v, v+1) {
-			continue // a seal-path sweep or rescue claimed it first
-		}
-		if !ro && !mutating {
-			// First non-read task of this pass: open the mutating window
-			// before it runs so a concurrent bypass reader cannot validate
-			// over its effects. Read-flagged tasks never open the window —
-			// a delegated read must not invalidate concurrent bypass reads.
-			b.mutEnter.Add(1)
-			mutating = true
-		}
-		s.task = nil
-		sp := f.span // nil unless this task's post was trace-sampled
-		sp.MarkSwept(b.worker)
-		var tt int64
-		if probe != nil {
-			tt = probe.TaskBegin()
-		}
-		sp.MarkExecStart()
-		if kern != nil {
-			// Typed KV slot: one-op kernel execution, serial order.
-			kvV, kvOK, kerr := b.runKV(s, hook)
-			sp.MarkExecEnd()
-			if probe != nil {
-				probe.TaskEnd(tt)
-			}
-			sp.MarkResponded()
-			if kerr != nil {
-				f.err = kerr
-				f.word.CompareAndSwap(w, w|futError)
-				b.Failed.Add(1)
-			} else {
-				f.kvVal, f.kvOK = kvV, kvOK
-				f.word.CompareAndSwap(w, w|futValue)
-			}
-			n++
-			continue
-		}
-		res := runTask(task, hook, b.worker)
-		sp.MarkExecEnd()
-		if probe != nil {
-			probe.TaskEnd(tt)
-		}
-		sp.MarkResponded()
-		if pe, ok := res.(PanicError); ok {
-			f.err = pe
-			f.word.CompareAndSwap(w, w|futError)
-			b.Failed.Add(1)
-		} else {
-			f.val = res
-			f.word.CompareAndSwap(w, w|futValue)
-		}
-		n++
-	}
-	if mutating {
-		b.mutExit.Add(1) // close the mutating window: pair balanced again
-	}
-	if local {
-		if n > 0 && b.arena != nil {
-			b.arena.Reset() // batch boundary: no batch allocation outlives the pass
-		}
-		b.nSweeps++
-		b.sinceFlush++
-		if n == 0 {
-			b.nEmpty++
-		} else {
-			b.nExec += uint64(n)
-			if n > 1 {
-				b.nBatch += uint64(n)
-			}
-		}
-		if b.sinceFlush >= statFlushEvery {
-			b.SyncStats()
+		if w, ok := b.slots[i].claim(); ok {
+			sc.slot[nc], sc.w[nc] = &b.slots[i], w
+			nc++
 		}
 	}
-	return n
-}
-
-// sweepSlotsWAL is the sweep body on the write-ahead logged path. It
-// mirrors sweepSlots exactly, with one extra discipline: a mutating task
-// that carries a record encoder has its logical record staged into the
-// worker log, and its future parks in the stash until the end-of-pass group
-// commit — a client observes success only once the record is durable
-// (group-commit rule, DESIGN.md §13). Unlogged tasks, read-only tasks, and
-// panicked tasks complete inline as before: they change no logged state.
-//
-// The first claimed task of a pass — logged or not — opens the log batch
-// (Begin takes the domain quiescence gate's read side), so only empty
-// sweeps skip the gate: recovery's in-place restore rewrites structure
-// state, and *every* task execution in the domain (including unlogged and
-// read-only tasks) must quiesce behind its write side, not just logged
-// mutations. A panic unwinding the pass — an injected worker kill, a
-// commit fault — aborts the batch (discarding staged records, releasing
-// the gate) and fails the stashed futures with a PanicError: those tasks
-// executed but their effects were never committed, so after recovery
-// replays the committed prefix the client's retry re-converges (records
-// are idempotent post-state effects). The panic then re-raises to
-// Worker.Run's crash recovery. FailPending cannot answer stashed futures —
-// their slots are already claimed — which is exactly why the defer here
-// must.
-func (b *Buffer) sweepSlotsWAL(hook FaultHook, probe *obs.WorkerShard, local bool) (n int) {
-	mutating := false
+	if nc == 0 {
+		if local {
+			b.countPass(0, 0)
+		}
+		return 0
+	}
 	logging := false
-	ns := 0
+	ns, done, kernOps := 0, 0, 0
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -965,98 +829,99 @@ func (b *Buffer) sweepSlotsWAL(hook FaultHook, probe *obs.WorkerShard, local boo
 		if logging {
 			b.wal.Abort()
 		}
+		perr := PanicError{Value: r}
 		for i := 0; i < ns; i++ {
-			st := &b.stash[i]
-			st.f.err = PanicError{Value: r}
-			st.f.span.MarkResponded()
-			if st.f.word.CompareAndSwap(st.w, st.w|futError) {
-				b.Failed.Add(1)
+			b.failFuture(sc.stash[i].f, sc.stash[i].w, perr)
+			sc.stash[i] = walStash{}
+		}
+		// Nil entries are ops a partially answered run already published.
+		for g := done; g < nc; g++ {
+			if s := sc.slot[g]; s != nil {
+				b.failFuture(s.fut, sc.w[g], perr)
+				sc.slot[g] = nil
 			}
-			*st = walStash{}
 		}
 		panic(r)
 	}()
-	for i := range b.slots {
-		s := &b.slots[i]
-		v := s.state.Load() // acquire: sees task+fut+enc when posted
-		if v&1 == 0 {
-			continue
-		}
-		f := s.fut
-		w := f.word.Load()
-		if w&futStateMask != futPending {
-			continue // answered by a racing completer this very moment
-		}
-		task := s.task
-		ro := s.ro
-		enc := s.enc
+	if b.wal != nil {
+		b.wal.Begin()
+		logging = true
+	}
+	mutating := false
+	for done < nc {
+		s := sc.slot[done]
 		kern := s.kern
-		if !s.state.CompareAndSwap(v, v+1) {
-			continue // a seal-path sweep or rescue claimed it first
+		j := done + 1
+		if kern != nil {
+			for j < nc && sc.slot[j].kern == kern {
+				j++
+			}
 		}
-		if !logging {
-			b.wal.Begin()
-			logging = true
+		for g := done; g < j; g++ {
+			if !mutating && !sc.slot[g].ro {
+				// First run holding a non-read op: open the mutating window
+				// before it executes so a concurrent bypass reader cannot
+				// validate over its effects.
+				b.mutEnter.Add(1)
+				mutating = true
+			}
+			sp := sc.slot[g].fut.span // nil unless the post was trace-sampled
+			sp.MarkSwept(b.worker)
+			sp.MarkExecStart()
 		}
-		if !ro && !mutating {
-			b.mutEnter.Add(1)
-			mutating = true
-		}
-		s.task = nil
-		sp := f.span
-		sp.MarkSwept(b.worker)
 		var tt int64
 		if probe != nil {
+			// A kernel run times as one probe task (its ops genuinely
+			// overlap); the per-op count is BatchKernelOps.
 			tt = probe.TaskBegin()
 		}
-		sp.MarkExecStart()
-		if kern != nil {
-			// Typed KV slot: one-op kernel execution. The record encoder
-			// (enc, the slot's prebuilt encKV) reads the slot's op words, so
-			// it must stage before the future is answered — the same
-			// stability window the stash relies on.
-			kvV, kvOK, kerr := b.runKV(s, hook)
-			sp.MarkExecEnd()
-			if probe != nil {
-				probe.TaskEnd(tt)
+		var err error
+		if kern == nil {
+			res := runTask(s.task, hook, b.worker)
+			s.task = nil
+			if pe, ok := res.(PanicError); ok {
+				err = pe
+			} else {
+				s.fut.val = res
 			}
-			sp.MarkResponded()
-			switch {
-			case kerr != nil:
-				f.err = kerr
-				f.word.CompareAndSwap(w, w|futError)
-				b.Failed.Add(1)
-			case enc == nil || ro:
-				f.kvVal, f.kvOK = kvV, kvOK
-				f.word.CompareAndSwap(w, w|futValue)
-			default:
-				b.wal.StageRecord(enc)
-				b.stash[ns] = walStash{f: f, w: w, kv: true, kvVal: kvV, kvOK: kvOK}
-				ns++
+		} else {
+			for g := done; g < j; g++ {
+				sg := sc.slot[g]
+				sc.kind[g], sc.key[g], sc.val[g] = sg.kind, sg.key, sg.val
+				sc.outV[g], sc.outOK[g] = 0, false
 			}
-			n++
-			continue
+			err = b.runKernel(kern, sc, done, j, hook)
+			kernOps += j - done
 		}
-		s.enc = nil
-		res := runTask(task, hook, b.worker)
-		sp.MarkExecEnd()
 		if probe != nil {
 			probe.TaskEnd(tt)
 		}
-		sp.MarkResponded()
-		if pe, ok := res.(PanicError); ok {
-			f.err = pe
-			f.word.CompareAndSwap(w, w|futError)
-			b.Failed.Add(1)
-		} else if enc == nil || ro {
-			f.val = res
-			f.word.CompareAndSwap(w, w|futValue)
-		} else {
-			b.wal.StageRecord(enc)
-			b.stash[ns] = walStash{f: f, w: w, res: res}
-			ns++
+		// Answer the run. Results are written into the futures now and
+		// published by the word CAS, here or after the group commit.
+		for g := done; g < j; g++ {
+			sg := sc.slot[g]
+			f, w := sg.fut, sc.w[g]
+			if kern != nil {
+				f.kvVal, f.kvOK = sc.outV[g], sc.outOK[g]
+			}
+			f.span.MarkExecEnd()
+			f.span.MarkResponded()
+			switch {
+			case err != nil:
+				b.failFuture(f, w, err)
+			case logging && sg.enc != nil && !sg.ro:
+				// A typed slot's encoder (its prebuilt encKV) reads the
+				// slot's op words, stable until the future is answered.
+				b.wal.StageRecord(sg.enc)
+				sc.stash[ns] = walStash{f: f, w: w}
+				ns++
+			default:
+				f.word.CompareAndSwap(w, w|futValue)
+			}
+			sc.slot[g] = nil
+			n++
 		}
-		n++
+		done = j
 	}
 	if logging {
 		// Group commit: injected commit faults only fire on live worker
@@ -1065,21 +930,13 @@ func (b *Buffer) sweepSlotsWAL(hook FaultHook, probe *obs.WorkerShard, local boo
 		err := b.wal.Commit(hook != nil)
 		logging = false
 		for i := 0; i < ns; i++ {
-			st := &b.stash[i]
+			st := sc.stash[i]
 			if err != nil {
-				st.f.err = PanicError{Value: err}
-				if st.f.word.CompareAndSwap(st.w, st.w|futError) {
-					b.Failed.Add(1)
-				}
+				b.failFuture(st.f, st.w, PanicError{Value: err})
 			} else {
-				if st.kv {
-					st.f.kvVal, st.f.kvOK = st.kvVal, st.kvOK
-				} else {
-					st.f.val = st.res
-				}
 				st.f.word.CompareAndSwap(st.w, st.w|futValue)
 			}
-			*st = walStash{}
+			sc.stash[i] = walStash{}
 		}
 		ns = 0
 	}
@@ -1087,297 +944,36 @@ func (b *Buffer) sweepSlotsWAL(hook FaultHook, probe *obs.WorkerShard, local boo
 		b.mutExit.Add(1) // close the mutating window: pair balanced again
 	}
 	if local {
-		if n > 0 && b.arena != nil {
-			// Batch boundary: the group commit is done and every stashed
-			// future answered, so no arena-backed staging memory is live.
+		if b.arena != nil {
+			// Batch boundary: the group commit is done and every future
+			// answered, so no arena-backed batch memory is live.
 			b.arena.Reset()
 		}
-		b.nSweeps++
-		b.sinceFlush++
-		if n == 0 {
-			b.nEmpty++
-		} else {
-			b.nExec += uint64(n)
-			if n > 1 {
-				b.nBatch += uint64(n)
-			}
-		}
-		if b.sinceFlush >= statFlushEvery {
-			b.SyncStats()
-		}
+		b.countPass(n, kernOps)
 	}
 	return n
 }
 
-// runKernel executes the claimed typed run [i,j) through kern with one
-// interleaved ExecBatch call over the staging arrays, converting a panic —
-// the kernel's own, or an injected BeforeTask fault's — into a PanicError
-// the caller applies to the run's unanswered ops. The worker survives, as
-// with any task panic; BeforeTask fires once per op in the run so injected
-// task-fault budgets drain at the same rate as on the serial path.
-func (b *Buffer) runKernel(kern BatchKernel, i, j int, hook FaultHook) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = PanicError{Value: r}
-		}
-	}()
-	if hook != nil {
-		for g := i; g < j; g++ {
-			hook.BeforeTask(b.worker)
-		}
-	}
-	kern.ExecBatch(b.bkKind[i:j], b.bkKey[i:j], b.bkVal[i:j], b.bkOutV[i:j], b.bkOutOK[i:j])
-	return nil
-}
-
-// sweepSlotsBatch is the interleaved batched sweep body (DESIGN.md §15),
-// taken only by local unsealed sweeps when SetBatchExec armed it. It
-// restructures the pass from claim→execute→answer per slot into three
-// phases over the whole pass:
-//
-//  1. Claim: every posted slot is claimed into the batch array with exactly
-//     the per-slot protocol of the serial bodies (pending-word read, state
-//     CAS; losers walk away). Slot fields stay readable after the claim —
-//     the owning client never reposts before observing its completion.
-//  2. Execute: claimed slots run in slot order. Maximal runs of typed slots
-//     sharing a kernel (capped at the configured width) execute through one
-//     ExecBatch call, which interleaves their traversal stages around
-//     software prefetches so the run's cache misses overlap. Opaque closure
-//     tasks — and typed slots whose structure has no kernel never exist
-//     (the client falls back to closures) — execute serially in place, so a
-//     mixed pass preserves slot order end to end.
-//  3. Answer: results publish with the same future CAS as the serial
-//     bodies. On the WAL path, logged mutations stage their records in
-//     execution order and park in the stash until the end-of-pass group
-//     commit — the group-commit rule and the arena's batch-boundary recycle
-//     point are untouched, because both were already end-of-pass concepts.
-//
-// The mutating window opens once, before anything executes, when any
-// claimed op is non-read — slightly wider than the serial bodies' first-
-// mutation point, which only costs concurrent bypass readers a retry. A
-// panic unwinding the pass aborts the log batch and fails every stashed and
-// claimed-but-unanswered future with a PanicError (FailPending cannot see
-// claimed slots), then re-raises to Worker.Run's crash recovery.
-func (b *Buffer) sweepSlotsBatch(hook FaultHook, probe *obs.WorkerShard) (n int) {
-	nc := 0
-	anyMut := false
-	for i := range b.slots {
-		s := &b.slots[i]
-		v := s.state.Load() // acquire: sees the op fields when posted
-		if v&1 == 0 {
-			continue
-		}
-		f := s.fut
-		w := f.word.Load()
-		if w&futStateMask != futPending {
-			continue // answered by a racing completer this very moment
-		}
-		if !s.state.CompareAndSwap(v, v+1) {
-			continue // a seal-path sweep or rescue claimed it first
-		}
-		if !s.ro {
-			anyMut = true
-		}
-		b.bkSlot[nc] = s
-		b.bkW[nc] = w
-		nc++
-	}
-	if nc == 0 {
-		b.nSweeps++
-		b.nEmpty++
-		b.sinceFlush++
-		if b.sinceFlush >= statFlushEvery {
-			b.SyncStats()
-		}
-		return 0
-	}
-	mutating := false
-	logging := false
-	ns := 0
-	done := 0
-	kernOps := 0
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if logging {
-			b.wal.Abort()
-		}
-		for i := 0; i < ns; i++ {
-			st := &b.stash[i]
-			st.f.err = PanicError{Value: r}
-			st.f.span.MarkResponded()
-			if st.f.word.CompareAndSwap(st.w, st.w|futError) {
-				b.Failed.Add(1)
-			}
-			*st = walStash{}
-		}
-		// Claimed-but-unanswered slots (nil entries are ops a partially
-		// answered run already published; their completion CAS makes the
-		// overlap with the stash loop idempotent).
-		for g := done; g < nc; g++ {
-			s := b.bkSlot[g]
-			if s == nil {
-				continue
-			}
-			f := s.fut
-			f.err = PanicError{Value: r}
-			f.span.MarkResponded()
-			if f.word.CompareAndSwap(b.bkW[g], b.bkW[g]|futError) {
-				b.Failed.Add(1)
-			}
-			b.bkSlot[g] = nil
-		}
-		panic(r)
-	}()
-	if b.wal != nil {
-		// First claimed task of the pass opens the log batch: Begin takes
-		// the domain quiescence gate's read side for every execution in the
-		// pass, logged or not, exactly like the serial WAL body.
-		b.wal.Begin()
-		logging = true
-	}
-	if anyMut {
-		b.mutEnter.Add(1)
-		mutating = true
-	}
-	for done < nc {
-		s := b.bkSlot[done]
-		if s.kern == nil {
-			// Opaque closure task: serial execution in place, identical to
-			// the serial bodies.
-			f := s.fut
-			w := b.bkW[done]
-			task := s.task
-			ro := s.ro
-			enc := s.enc
-			s.task = nil
-			s.enc = nil
-			sp := f.span
-			sp.MarkSwept(b.worker)
-			var tt int64
-			if probe != nil {
-				tt = probe.TaskBegin()
-			}
-			sp.MarkExecStart()
-			res := runTask(task, hook, b.worker)
-			sp.MarkExecEnd()
-			if probe != nil {
-				probe.TaskEnd(tt)
-			}
-			sp.MarkResponded()
-			if pe, ok := res.(PanicError); ok {
-				f.err = pe
-				f.word.CompareAndSwap(w, w|futError)
-				b.Failed.Add(1)
-			} else if logging && enc != nil && !ro {
-				b.wal.StageRecord(enc)
-				b.stash[ns] = walStash{f: f, w: w, res: res}
-				ns++
-			} else {
-				f.val = res
-				f.word.CompareAndSwap(w, w|futValue)
-			}
-			b.bkSlot[done] = nil
-			done++
-			n++
-			continue
-		}
-		// Typed run: extend over subsequent claimed ops on the same kernel,
-		// up to the configured group width.
-		kern := s.kern
-		j := done + 1
-		for j < nc && j-done < b.batchWidth && b.bkSlot[j].kern == kern {
-			j++
-		}
-		for g := done; g < j; g++ {
-			sg := b.bkSlot[g]
-			b.bkKind[g] = sg.kind
-			b.bkKey[g] = sg.key
-			b.bkVal[g] = sg.val
-			b.bkOutV[g] = 0
-			b.bkOutOK[g] = false
-			sp := sg.fut.span
-			sp.MarkSwept(b.worker)
-			sp.MarkExecStart()
-		}
-		var tt int64
-		if probe != nil {
-			// The run times as one probe task (its ops genuinely overlap);
-			// the per-op count is BatchKernelOps.
-			tt = probe.TaskBegin()
-		}
-		kerr := b.runKernel(kern, done, j, hook)
-		if probe != nil {
-			probe.TaskEnd(tt)
-		}
-		for g := done; g < j; g++ {
-			sg := b.bkSlot[g]
-			f := sg.fut
-			w := b.bkW[g]
-			sp := f.span
-			sp.MarkExecEnd()
-			sp.MarkResponded()
-			switch {
-			case kerr != nil:
-				f.err = kerr
-				f.word.CompareAndSwap(w, w|futError)
-				b.Failed.Add(1)
-			case logging && sg.enc != nil && !sg.ro:
-				b.wal.StageRecord(sg.enc)
-				b.stash[ns] = walStash{f: f, w: w, kv: true, kvVal: b.bkOutV[g], kvOK: b.bkOutOK[g]}
-				ns++
-			default:
-				f.kvVal, f.kvOK = b.bkOutV[g], b.bkOutOK[g]
-				f.word.CompareAndSwap(w, w|futValue)
-			}
-			b.bkSlot[g] = nil
-			n++
-		}
-		kernOps += j - done
-		done = j
-	}
-	if logging {
-		err := b.wal.Commit(hook != nil)
-		logging = false
-		for i := 0; i < ns; i++ {
-			st := &b.stash[i]
-			if err != nil {
-				st.f.err = PanicError{Value: err}
-				if st.f.word.CompareAndSwap(st.w, st.w|futError) {
-					b.Failed.Add(1)
-				}
-			} else {
-				if st.kv {
-					st.f.kvVal, st.f.kvOK = st.kvVal, st.kvOK
-				} else {
-					st.f.val = st.res
-				}
-				st.f.word.CompareAndSwap(st.w, st.w|futValue)
-			}
-			*st = walStash{}
-		}
-		ns = 0
-	}
-	if mutating {
-		b.mutExit.Add(1) // close the mutating window: pair balanced again
-	}
-	if b.arena != nil {
-		b.arena.Reset() // batch boundary, post-commit: nothing batch-lived survives
-	}
+// countPass records one local pass in the worker-local stat mirrors and
+// publishes them on the statFlushEvery cadence.
+func (b *Buffer) countPass(n, kernOps int) {
 	b.nSweeps++
 	b.sinceFlush++
-	b.nExec += uint64(n)
-	if n > 1 {
-		b.nBatch += uint64(n)
+	if n == 0 {
+		b.nEmpty++
+	} else {
+		b.nExec += uint64(n)
+		if n > 1 {
+			b.nBatch += uint64(n)
+		}
 	}
-	b.nBatchSweeps++
-	b.nKernOps += uint64(kernOps)
+	if kernOps > 0 {
+		b.nBatchSweeps++
+		b.nKernOps += uint64(kernOps)
+	}
 	if b.sinceFlush >= statFlushEvery {
 		b.SyncStats()
 	}
-	return n
 }
 
 // Seal marks the buffer closed and runs a final sweep that executes every
@@ -1396,7 +992,7 @@ func (b *Buffer) Seal() int {
 	// deepen the imbalance.
 	b.mutEnter.Add(1)
 	b.sealed.Store(true)
-	return b.sweepBody(nil, nil, false)
+	return b.sweep(nil, nil, false)
 }
 
 // FailPending completes every posted, unclaimed task with err without
@@ -1415,24 +1011,11 @@ func (b *Buffer) FailPending(err error) int {
 	n := 0
 	for i := range b.slots {
 		s := &b.slots[i]
-		v := s.state.Load()
-		if v&1 == 0 {
-			continue
-		}
-		f := s.fut
-		w := f.word.Load()
-		if w&futStateMask != futPending {
-			continue
-		}
-		if !s.state.CompareAndSwap(v, v+1) {
-			continue // a racing sweep owns it; that sweep answers the future
-		}
-		s.task = nil
-		f.err = err
-		f.span.MarkResponded()
-		if f.word.CompareAndSwap(w, w|futError) {
-			b.Failed.Add(1)
-			n++
+		if w, ok := s.claim(); ok {
+			s.task = nil
+			if b.failFuture(s.fut, w, err) {
+				n++
+			}
 		}
 	}
 	return n
@@ -1445,24 +1028,11 @@ func (b *Buffer) FailPending(err error) int {
 func (b *Buffer) rescue(s *Slot) {
 	b.sealMu.Lock()
 	defer b.sealMu.Unlock()
-	v := s.state.Load()
-	if v&1 == 0 {
-		return
-	}
-	f := s.fut
-	w := f.word.Load()
-	if w&futStateMask != futPending {
-		return
-	}
-	if !s.state.CompareAndSwap(v, v+1) {
-		return // a straggling unsealed sweep claimed it; it will answer
-	}
-	s.task = nil
-	f.err = ErrWorkerStopped
-	f.span.MarkResponded()
-	if f.word.CompareAndSwap(w, w|futError) {
-		b.Failed.Add(1)
-		b.Rescued.Add(1)
+	if w, ok := s.claim(); ok {
+		s.task = nil
+		if b.failFuture(s.fut, w, ErrWorkerStopped) {
+			b.Rescued.Add(1)
+		}
 	}
 }
 
@@ -1642,18 +1212,10 @@ func (c *Client) harvestOldest() *Future {
 // (Reserve) rather than a ring-tracked delegation there is nothing this
 // client can harvest; the caller must Await its handles first.
 func (c *Client) takeSlot() int32 {
-	for len(c.free) == 0 {
-		if c.n == 0 {
-			panic("delegation: no free slots and none outstanding; await reserved handles first")
-		}
-		if c.probe != nil {
-			c.probe.BurstWait()
-		}
-		f := c.harvestOldest()
-		f.observeResolved()
+	i, ok := c.Reserve()
+	if !ok {
+		panic("delegation: no free slots and none outstanding; await reserved handles first")
 	}
-	i := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
 	return i
 }
 
@@ -1707,14 +1269,29 @@ func (c *Client) PostReservedLogged(i int32, task Task, enc func(dst []byte) []b
 }
 
 func (c *Client) postReserved(i int32, task Task, enc func(dst []byte) []byte) InvokeHandle {
-	s := c.slots[i]
-	f := &s.fut0
-	tok := f.begin()
-	if c.probe != nil {
-		f.span = c.probe.PostRecycled()
-	}
-	s.post(task, f, false, enc)
+	s, tok := c.recycle(i, false)
+	s.post(task, &s.fut0, false, enc)
 	return InvokeHandle{slot: i, tok: tok}
+}
+
+// recycle begins the next generation of slot i's embedded future and
+// returns the slot and the generation's token. The probe hands out a
+// recycled span (PostRecycled, not Post): the embedded future resolves its
+// span exactly once per generation, so no allocation is needed. Detached
+// Delegate futures keep the allocating Post — their holders may Wait (and
+// Resolve) long after the span would recycle. countRead counts a read post
+// for the signal sampler's write fraction; the read/write split is known
+// here and nowhere cheaper.
+func (c *Client) recycle(i int32, countRead bool) (*Slot, uint64) {
+	s := c.slots[i]
+	tok := s.fut0.begin()
+	if c.probe != nil {
+		if countRead {
+			c.probe.CountRead()
+		}
+		s.fut0.span = c.probe.PostRecycled()
+	}
+	return s, tok
 }
 
 // Await blocks until the handle's invocation completes, frees its slot, and
@@ -1728,10 +1305,9 @@ func (c *Client) Await(h InvokeHandle) (any, error) {
 
 // PostReservedKV posts a typed key/value op into a slot obtained from
 // Reserve without waiting, returning the handle to AwaitKV later. The op
-// carries no closure: the worker's interleaved sweep body groups adjacent
-// typed ops on the same kernel into one ExecBatch call, overlapping their
-// traversal cache misses. On a worker without batching armed the op runs
-// through the same kernel one at a time — semantics are identical either
+// carries no closure: the worker's sweep groups adjacent typed ops on the
+// same kernel into one ExecBatch call, overlapping their traversal cache
+// misses. A lone op runs as a group of one — semantics are identical either
 // way, only the execution schedule changes.
 func (c *Client) PostReservedKV(i int32, kern BatchKernel, kind uint8, key, val uint64) InvokeHandle {
 	return c.postReservedKV(i, kern, kind, key, val, nil)
@@ -1745,13 +1321,8 @@ func (c *Client) PostReservedKVLogged(i int32, kern BatchKernel, kind uint8, key
 }
 
 func (c *Client) postReservedKV(i int32, kern BatchKernel, kind uint8, key, val uint64, kvenc KVEncoder) InvokeHandle {
-	s := c.slots[i]
-	f := &s.fut0
-	tok := f.begin()
-	if c.probe != nil {
-		f.span = c.probe.PostRecycled()
-	}
-	s.postKV(kern, kind, key, val, f, kvenc)
+	s, tok := c.recycle(i, false)
+	s.postKV(kern, kind, key, val, &s.fut0, kvenc)
 	return InvokeHandle{slot: i, tok: tok}
 }
 
@@ -1780,32 +1351,22 @@ func (c *Client) FreeSlots() int { return len(c.free) }
 // the burst is completely filled it first waits for the oldest outstanding
 // task. The returned future is detached (heap-allocated, generation 0): the
 // caller may hold it for as long as it likes, independent of slot reuse.
-func (c *Client) Delegate(task Task) *Future {
+func (c *Client) Delegate(task Task) *Future { return c.delegate(task, nil) }
+
+// DelegateLogged is Delegate for a logged mutation: enc encodes the task's
+// WAL record on the worker after the task runs, and the future completes
+// only after the record's group commit — success implies durable.
+func (c *Client) DelegateLogged(task Task, enc func(dst []byte) []byte) *Future {
+	return c.delegate(task, enc)
+}
+
+func (c *Client) delegate(task Task, enc func(dst []byte) []byte) *Future {
 	i := c.takeSlot()
 	f := &Future{}
 	if c.probe != nil {
 		// Post counts the delegation and, on sampled posts, mints the
 		// lifecycle span; the slot's release store publishes it (via the
 		// future) to the worker alongside the task.
-		f.span = c.probe.Post()
-	}
-	c.slots[i].post(task, f, false, nil)
-	tail := c.head + c.n
-	if tail >= len(c.ring) {
-		tail -= len(c.ring)
-	}
-	c.ring[tail] = pendingOp{slot: i, fut: f}
-	c.n++
-	return f
-}
-
-// DelegateLogged is Delegate for a logged mutation: enc encodes the task's
-// WAL record on the worker after the task runs, and the future completes
-// only after the record's group commit — success implies durable.
-func (c *Client) DelegateLogged(task Task, enc func(dst []byte) []byte) *Future {
-	i := c.takeSlot()
-	f := &Future{}
-	if c.probe != nil {
 		f.span = c.probe.Post()
 	}
 	c.slots[i].post(task, f, false, enc)
@@ -1863,91 +1424,28 @@ func (c *Client) InvokeReadErr(task Task) (any, error) { return c.invokeErr(task
 
 // InvokeKVErr delegates a typed key/value op synchronously: the op's kind,
 // key and value travel in the slot itself (no closure, no boxing) and the
-// worker executes it through kern — batched with neighbouring typed ops
-// when interleaved execution is armed, one at a time otherwise. Returns the
+// worker executes it through kern, batched with any neighbouring typed ops
+// on the same kernel in its pass. Returns the
 // kernel's value/found pair. Zero-allocation like InvokeErr.
 func (c *Client) InvokeKVErr(kern BatchKernel, kind uint8, key, val uint64) (uint64, bool, error) {
-	return c.invokeKVErr(kern, kind, key, val, nil)
-}
-
-// InvokeKVLoggedErr is InvokeKVErr for a logged mutation: kvenc encodes the
-// op's logical WAL record on the worker (from the same kind/key/val the
-// kernel executed) and the call returns only after the record's batch
-// group-commits, so success implies durable.
-func (c *Client) InvokeKVLoggedErr(kern BatchKernel, kind uint8, key, val uint64, kvenc KVEncoder) (uint64, bool, error) {
-	return c.invokeKVErr(kern, kind, key, val, kvenc)
-}
-
-func (c *Client) invokeKVErr(kern BatchKernel, kind uint8, key, val uint64, kvenc KVEncoder) (uint64, bool, error) {
 	i := c.takeSlot()
-	s := c.slots[i]
-	f := &s.fut0
-	tok := f.begin()
-	if c.probe != nil {
-		if kind == KVGet {
-			c.probe.CountRead()
-		}
-		f.span = c.probe.PostRecycled()
-	}
-	s.postKV(kern, kind, key, val, f, kvenc)
-	v, ok, err := f.awaitTokenKV(tok)
-	c.free = append(c.free, i)
-	return v, ok, err
+	s, tok := c.recycle(i, kind == KVGet)
+	s.postKV(kern, kind, key, val, &s.fut0, nil)
+	return c.AwaitKV(InvokeHandle{slot: i, tok: tok})
 }
 
 func (c *Client) invokeErr(task Task, ro bool, enc func(dst []byte) []byte) (any, error) {
 	i := c.takeSlot()
-	s := c.slots[i]
-	f := &s.fut0
-	tok := f.begin()
-	if c.probe != nil {
-		// PostRecycled, not Post: the embedded future resolves its span
-		// exactly once per generation, so the shard can hand back a recycled
-		// span instead of allocating one (the stray 1 B/op on the observed
-		// path). Detached Delegate futures keep the allocating Post — their
-		// holders may Wait (and Resolve) long after the span would recycle.
-		if ro {
-			// The read/write split is known right here and nowhere cheaper:
-			// counting read-flagged invokes at this branch gives the signal
-			// sampler its write fraction without adding any bookkeeping to
-			// the (hotter) write path.
-			c.probe.CountRead()
-		}
-		f.span = c.probe.PostRecycled()
-	}
-	s.post(task, f, ro, enc)
-	v, err := f.awaitToken(tok)
-	c.free = append(c.free, i)
-	return v, err
+	s, tok := c.recycle(i, ro)
+	s.post(task, &s.fut0, ro, enc)
+	return c.Await(InvokeHandle{slot: i, tok: tok})
 }
 
-// DelegateErr posts like Delegate and additionally surfaces an immediately
-// known failure: a post into a sealed buffer is completed with
-// ErrWorkerStopped before DelegateErr returns, so the caller can stop
-// submitting instead of discovering the error future by future.
-func (c *Client) DelegateErr(task Task) (*Future, error) {
-	f := c.Delegate(task)
-	return f, f.Err()
-}
-
-// DelegateBulk posts tasks as one bulk burst under a single synchronisation
-// phase (the bulk-bursting mode): all tasks are delegated, then all futures
-// awaited, and the results returned in order.
-func (c *Client) DelegateBulk(tasks []Task) []any {
-	futs := make([]*Future, len(tasks))
-	for i, t := range tasks {
-		futs[i] = c.Delegate(t)
-	}
-	out := make([]any, len(tasks))
-	for i, f := range futs {
-		out[i] = f.Wait()
-	}
-	return out
-}
-
-// DelegateBulkErr is DelegateBulk with an error channel: results hold each
-// task's value (nil where a task failed) and the returned error is the
-// first typed error among them.
+// DelegateBulkErr posts tasks as one bulk burst under a single
+// synchronisation phase (the bulk-bursting mode): all tasks are delegated,
+// then all futures awaited. Results hold each task's value in order (nil
+// where a task failed) and the returned error is the first typed error
+// among them.
 func (c *Client) DelegateBulkErr(tasks []Task) ([]any, error) {
 	futs := make([]*Future, len(tasks))
 	for i, t := range tasks {

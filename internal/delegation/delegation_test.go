@@ -143,7 +143,10 @@ func TestDelegateBulk(t *testing.T) {
 		i := i
 		tasks = append(tasks, func() any { return i })
 	}
-	out := c.DelegateBulk(tasks)
+	out, err := c.DelegateBulkErr(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != 50 {
 		t.Fatalf("bulk returned %d results", len(out))
 	}

@@ -226,13 +226,11 @@ func TestErrVariants(t *testing.T) {
 		t.Errorf("DrainErr after bulk = %v, want the bulk PanicError", err)
 	}
 
-	// After the worker stops, DelegateErr reports the failure immediately
-	// and DrainErr surfaces it again on drain.
+	// After the worker stops, a post is rescued before Delegate returns,
+	// so its future already carries the failure, and DrainErr surfaces it
+	// again on drain.
 	stop()
-	f, derr := c.DelegateErr(func() any { return nil })
-	if !errors.Is(derr, ErrWorkerStopped) {
-		t.Errorf("DelegateErr after stop = %v", derr)
-	}
+	f := c.Delegate(func() any { return nil })
 	if !errors.Is(f.Err(), ErrWorkerStopped) {
 		t.Errorf("future err = %v", f.Err())
 	}

@@ -194,7 +194,8 @@ const (
 //     only atomically published pointers and immutable content, or take
 //     the structure's locks for the walk.
 //   - All five slices have equal length; the kernel must accept any length
-//     (callers cap groups at their sweep width, but nothing here assumes it).
+//     (the sweep's runs never exceed one buffer's slots, but nothing here
+//     assumes it).
 //
 // The method takes no OpStats sink: batch execution is the delegated hot
 // path, and accounting there is the observability layer's job. Structures

@@ -260,8 +260,8 @@ type DomainExternal struct {
 	ArenaOverflows int64
 	ArenaResets    int64
 	ArenaDiscards  int64
-	// Interleaved-execution counters (zero when Config.BatchExec is off):
-	// non-empty passes of the batched sweep body, and typed ops executed
+	// Kernel-run counters (zero while no typed ops are posted): sweep
+	// passes that ran at least one kernel run, and typed ops executed
 	// through structure batch kernels. Their ratio is the realised group
 	// width the prefetch interleave actually achieved.
 	BatchSweeps    uint64
@@ -316,7 +316,7 @@ type DomainSnapshot struct {
 	ArenaOverflows int64
 	ArenaResets    int64
 	ArenaDiscards  int64
-	// Interleaved-execution view (see DomainExternal): batched passes and
+	// Kernel-run view (see DomainExternal): passes with a kernel run and
 	// kernel-executed typed ops for the domain.
 	BatchSweeps    uint64
 	BatchKernelOps uint64

@@ -163,16 +163,11 @@ type (
 	// ArenaConfig enables per-worker batch arenas recycled at sweep-batch
 	// boundaries (Config.Arena); the WAL's record staging draws from them.
 	ArenaConfig = core.ArenaConfig
-	// BatchExecConfig enables interleaved sweep execution
-	// (Config.BatchExec): workers claim a whole pass of posted slots and
-	// run typed key/value ops through the structure's batch kernel, which
-	// overlaps their traversal cache misses with software prefetch.
-	BatchExecConfig = core.BatchExecConfig
 	// BatchKernel is the typed-op kernel a structure implements to accept
-	// InvokeKV/SubmitKV ops (all built-in indexes do).
+	// InvokeKV/SubmitKV ops (all built-in indexes do). Every worker sweep
+	// hands adjacent typed ops on one structure to a single ExecBatch call,
+	// which overlaps their traversal cache misses with software prefetch.
 	BatchKernel = delegation.BatchKernel
-	// KVEncoder encodes a typed op's logical WAL record (InvokeKVLogged).
-	KVEncoder = delegation.KVEncoder
 )
 
 // Typed key/value op kinds for Session.InvokeKV / SubmitKV.

@@ -17,6 +17,13 @@
 # only lower the floor estimate, never raise it, so retries clear false
 # positives but cannot wash out a genuine regression. BENCHTIME tunes
 # -benchtime (default 300ms, like bench-snapshot).
+#
+# The baseline records the host it was measured on (bench-host.sh). When
+# this host differs — CPU count, GOMAXPROCS, Go version or GOARCH — or the
+# baseline records none, the script exits 2 without measuring anything:
+# numbers from different hosts cannot pass or fail against each other.
+# Re-record the baseline on this host (make bench at the commit to compare
+# against) first.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,6 +37,16 @@ CONFIRM_ROUNDS="${CONFIRM_ROUNDS:-2}"
 if [ ! -f "$BASELINE" ]; then
 	echo "bench-compare: no $BASELINE baseline (run make bench first)" >&2
 	exit 1
+fi
+
+HOST=$(./scripts/bench-host.sh)
+BASE_HOST=$(sed -n 's/^ *"host": \(.*\),$/\1/p' "$BASELINE")
+if [ "$BASE_HOST" != "$HOST" ]; then
+	echo "bench-compare: $BASELINE was recorded on a different host; refusing to compare." >&2
+	echo "  baseline host: ${BASE_HOST:-(none recorded)}" >&2
+	echo "  this host:     $HOST" >&2
+	echo "  Re-record the baseline on this host (make bench at the commit to compare against)." >&2
+	exit 2
 fi
 
 PATTERN='BenchmarkDelegation|BenchmarkServer|BenchmarkAblationBurstSize|BenchmarkAblationResponseBatching|BenchmarkAblationTxnMode|BenchmarkAblationBatchExec|BenchmarkIndex|BenchmarkTPCC|BenchmarkReadBypass|BenchmarkRecoveryReplay'

@@ -2,9 +2,11 @@
 # bench-snapshot: record the perf trajectory of the delegation hot path.
 #
 # Runs the delegation, index, and TPC-C microbenchmarks with -benchmem and
-# rewrites BENCH_delegation.json at the repo root with one record per
+# rewrites BENCH_delegation.json at the repo root: a host object (CPU count,
+# GOMAXPROCS, Go version, GOARCH; see bench-host.sh) and one record per
 # benchmark: name, ns/op, allocs/op, B/op. Commit the file so regressions
-# show up in review diffs across PRs.
+# show up in review diffs across PRs; bench-compare refuses to compare
+# against a baseline recorded on a different host.
 #
 # BENCHTIME tunes -benchtime (default 300ms: enough iterations for stable
 # ns/op on the sub-microsecond benchmarks without a minutes-long run).
@@ -24,6 +26,8 @@ trap 'rm -f "$RAW"' EXIT INT TERM
 
 PATTERN='BenchmarkDelegation|BenchmarkServer|BenchmarkAblationBurstSize|BenchmarkAblationResponseBatching|BenchmarkAblationTxnMode|BenchmarkAblationBatchExec|BenchmarkIndex|BenchmarkTPCC|BenchmarkReadBypass|BenchmarkRecoveryReplay'
 
+HOST=$(./scripts/bench-host.sh)
+
 go test -run NONE -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW"
 
 # Parse `BenchmarkName  N  12.3 ns/op  4 B/op  1 allocs/op` lines into JSON,
@@ -32,7 +36,7 @@ go test -run NONE -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$C
 # kept). The name is kept exactly as printed (Go appends a -GOMAXPROCS
 # suffix when running on more than one proc; stripping it cannot be told
 # apart from a numeric subbenchmark name, so we don't try).
-awk '
+awk -v host="$HOST" '
 /^Benchmark/ && /ns\/op/ {
 	name = $1
 	ns = ""; bytes = ""; allocs = ""
@@ -50,13 +54,16 @@ awk '
 	}
 }
 END {
-	print "["
+	print "{"
+	printf "  \"host\": %s,\n", host
+	print "  \"benchmarks\": ["
 	for (i = 0; i < n; i++) {
 		name = order[i]
-		printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"bytes_per_op\": %s}%s\n", \
+		printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"bytes_per_op\": %s}%s\n", \
 			name, best[name], ba[name], bb[name], (i < n - 1 ? "," : "")
 	}
-	print "]"
+	print "  ]"
+	print "}"
 }
 ' "$RAW" >"$OUT"
 
@@ -65,4 +72,4 @@ if [ "$RECORDS" -eq 0 ]; then
 	echo "bench-snapshot: no benchmark lines parsed" >&2
 	exit 1
 fi
-echo "bench-snapshot: wrote $RECORDS records to $OUT (min ns/op of $COUNT runs)"
+echo "bench-snapshot: wrote $RECORDS records to $OUT (min ns/op of $COUNT runs) on host $HOST"
