@@ -140,7 +140,7 @@ func runTypedStream(t *testing.T, panicEvery int) ([]kvResult, map[string][]kvRe
 			// typed runs; its panic must fail only itself.
 			f, err := session.SubmitAsync("h", func(ds, arg any) any {
 				panic("equivalence boom")
-			}, nil)
+			}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

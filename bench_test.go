@@ -176,6 +176,23 @@ func BenchmarkFigure13Right(b *testing.B) {
 
 // --- Real-hardware microbenchmarks (delegation runtime) ------------------
 
+// settleIdle runs op, sleeps past the workers' idle-park threshold and runs
+// op again before the timed region. Parking is where a goroutine first calls
+// time.Sleep, which lazily allocates its timer once — for every idle worker
+// and for the waiting client. Without the settle those one-time allocations
+// land inside the timed loop, where at -benchtime 100x a single timer reads
+// as a few B/op on the zero-allocation gates.
+func settleIdle(b *testing.B, op func() error) {
+	b.Helper()
+	if err := op(); err != nil {
+		b.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if err := op(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkDelegationInvoke measures one synchronous delegated round trip
 // on this host.
 func BenchmarkDelegationInvoke(b *testing.B) {
@@ -196,9 +213,7 @@ func BenchmarkDelegationInvoke(b *testing.B) {
 	}
 	defer s.Close()
 	task := robustconf.Task{Structure: "x", Op: func(ds any) any { return nil }}
-	if _, err := s.Invoke(task); err != nil { // warm up: lazy client creation
-		b.Fatal(err)
-	}
+	settleIdle(b, func() error { _, err := s.Invoke(task); return err }) // lazy client creation
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -208,10 +223,11 @@ func BenchmarkDelegationInvoke(b *testing.B) {
 	}
 }
 
-// BenchmarkDelegationInvokeKV measures the typed key/value round trip: a
-// burst of 14 pipelined SubmitKV Gets answered by live workers through the
-// hashmap's batch kernel. Pinned allocation-free by alloc-smoke — the
-// typed path must not re-introduce boxing anywhere from post to answer.
+// BenchmarkDelegationInvokeKV measures the typed key/value round trip:
+// bursts of 14 pipelined SubmitKV Gets answered by live workers through the
+// hashmap's batch kernel; ns/op is per Get (b.N counts ops). Pinned
+// allocation-free by alloc-smoke — the typed path must not re-introduce
+// boxing anywhere from post to answer.
 func BenchmarkDelegationInvokeKV(b *testing.B) {
 	const burst = 14
 	machine := robustconf.Machine(1)
@@ -235,28 +251,27 @@ func BenchmarkDelegationInvokeKV(b *testing.B) {
 	}
 	defer s.Close()
 	var futs [burst]*core.AsyncFuture
-	cycle := func() error {
-		for j := 0; j < burst; j++ {
+	// cycle submits m Gets, then waits for all of them.
+	cycle := func(m int) error {
+		for j := 0; j < m; j++ {
 			f, err := s.SubmitKV("x", robustconf.KVGet, uint64(j), 0)
 			if err != nil {
 				return err
 			}
 			futs[j] = f
 		}
-		for j := 0; j < burst; j++ {
+		for j := 0; j < m; j++ {
 			if _, _, err := futs[j].WaitKV(); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := cycle(); err != nil { // warm up: lazy client + future pool
-		b.Fatal(err)
-	}
+	settleIdle(b, func() error { return cycle(burst) }) // lazy client + future pool
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cycle(); err != nil {
+	for n := 0; n < b.N; n += burst {
+		if err := cycle(min(burst, b.N-n)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,9 +299,7 @@ func BenchmarkDelegationInvokeObserved(b *testing.B) {
 	}
 	defer s.Close()
 	task := robustconf.Task{Structure: "x", Op: func(ds any) any { return nil }}
-	if _, err := s.Invoke(task); err != nil { // warm up: lazy client creation
-		b.Fatal(err)
-	}
+	settleIdle(b, func() error { _, err := s.Invoke(task); return err }) // lazy client creation
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -402,9 +415,7 @@ func BenchmarkDelegationReadBypass(b *testing.B) {
 	}
 	defer s.Close()
 	task := robustconf.Task{Structure: "x", Op: func(ds any) any { return nil }}
-	if _, err := s.SubmitRead(task); err != nil { // warm up lazy read state
-		b.Fatal(err)
-	}
+	settleIdle(b, func() error { _, err := s.SubmitRead(task); return err }) // lazy read state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -455,6 +466,7 @@ func BenchmarkDelegationInvokeLogged(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	settleIdle(b, func() error { _, err := s.Invoke(task); return err })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -651,7 +663,7 @@ func BenchmarkAblationBurstSize(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				f, err := s.SubmitAsync("x", insert, &keys[i%1024])
+				f, err := s.SubmitAsync("x", insert, &keys[i%1024], nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -700,11 +712,11 @@ func BenchmarkAblationResponseBatching(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// The reserved-slot pipeline (Reserve/PostReserved/Await) reuses
+			// The reserved-slot pipeline (Reserve/Post/Await) reuses
 			// the slot-embedded futures, so the loop measures sweep batching
 			// alone — Delegate would add one detached future allocation per
 			// task.
-			noop := delegation.Task(func() any { return nil })
+			noop := delegation.Op{Task: func() any { return nil }}
 			var hs [14]delegation.InvokeHandle
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -715,7 +727,7 @@ func BenchmarkAblationResponseBatching(b *testing.B) {
 						if !ok {
 							b.Fatal("no free slot")
 						}
-						hs[j] = client.PostReserved(slot, noop)
+						hs[j] = client.Post(slot, noop)
 					}
 					buf.Sweep() // one sweep answers all 14
 					for j := 0; j < 14; j++ {
@@ -729,7 +741,7 @@ func BenchmarkAblationResponseBatching(b *testing.B) {
 						if !ok {
 							b.Fatal("no free slot")
 						}
-						h := client.PostReserved(slot, noop)
+						h := client.Post(slot, noop)
 						buf.Sweep()
 						if _, err := client.Await(h); err != nil {
 							b.Fatal(err)
@@ -749,8 +761,8 @@ func BenchmarkAblationResponseBatching(b *testing.B) {
 // prefetching each op's next node); arm serial-closure posts prebuilt
 // closures calling idx.Get, which the same sweep runs one at a time. The
 // working set is sized well past LLC so the traversals are cache-miss bound
-// — the regime the interleave targets. ns/kvop is the per-operation figure
-// (ns/op covers the whole 14-op burst).
+// — the regime the interleave targets. ns/op is per Get: b.N counts ops,
+// posted in bursts of 14.
 func BenchmarkAblationBatchExec(b *testing.B) {
 	const records = 1 << 21
 	const burst = 14
@@ -800,10 +812,10 @@ func BenchmarkAblationBatchExec(b *testing.B) {
 					// key from keyOf and park the value in got, so the closure
 					// arm allocates nothing (boxing the value would).
 					var keyOf, got [burst]uint64
-					var gets [burst]delegation.Task
+					var gets [burst]delegation.Op
 					for j := range gets {
 						j := j
-						gets[j] = func() any {
+						gets[j].Task = func() any {
 							got[j], _ = idx.Get(keyOf[j], nil)
 							return nil
 						}
@@ -812,8 +824,9 @@ func BenchmarkAblationBatchExec(b *testing.B) {
 					rng := uint64(0x9e3779b97f4a7c15)
 					b.ReportAllocs()
 					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for j := 0; j < burst; j++ {
+					for n := 0; n < b.N; n += burst {
+						m := min(burst, b.N-n)
+						for j := 0; j < m; j++ {
 							rng ^= rng << 13
 							rng ^= rng >> 7
 							rng ^= rng << 17
@@ -822,14 +835,14 @@ func BenchmarkAblationBatchExec(b *testing.B) {
 								b.Fatal("no free slot")
 							}
 							if typed {
-								hs[j] = client.PostReservedKV(slot, kern, delegation.KVGet, keys[rng%records], 0)
+								hs[j] = client.Post(slot, delegation.Op{Kern: kern, Kind: delegation.KVGet, Key: keys[rng%records]})
 							} else {
 								keyOf[j] = keys[rng%records]
-								hs[j] = client.PostReserved(slot, gets[j])
+								hs[j] = client.Post(slot, gets[j])
 							}
 						}
 						buf.Sweep()
-						for j := 0; j < burst; j++ {
+						for j := 0; j < m; j++ {
 							var err error
 							if typed {
 								_, _, err = client.AwaitKV(hs[j])
@@ -841,7 +854,6 @@ func BenchmarkAblationBatchExec(b *testing.B) {
 							}
 						}
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/kvop")
 				})
 			}
 		})
@@ -1127,11 +1139,11 @@ func BenchmarkTPCCDelegatedFullMixWAL(b *testing.B) { benchTPCCParallel(b, b.Tem
 
 // BenchmarkAblationTxnMode isolates the contribution of each statement→task
 // mapping on the delegated engine under the full TPC-C mix: per-statement
-// pipelining (async statement futures), same-domain fusion (one multi-op
-// task per dependency wave), and whole-transaction delegation (one task per
-// single-warehouse transaction, pipelined fallback across warehouses).
+// pipelining (async statement futures) and whole-transaction delegation (one
+// task per single-warehouse transaction, pipelined fallback across
+// warehouses).
 func BenchmarkAblationTxnMode(b *testing.B) {
-	for _, mode := range []oltp.ExecMode{oltp.ModePerStatement, oltp.ModeFused, oltp.ModeWholeTxn} {
+	for _, mode := range []oltp.ExecMode{oltp.ModePerStatement, oltp.ModeWholeTxn} {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := tpcc.Config{Warehouses: 2, Customers: 100, Items: 300}
 			loader, err := tpcc.NewLoader(cfg, 1)

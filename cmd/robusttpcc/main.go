@@ -9,9 +9,8 @@
 //	robusttpcc -engine delegated -mode whole-txn -warehouses 4 -terminals 4 -txns 2000
 //
 // The -mode flag selects the delegated engine's statement→task mapping:
-// per-statement (pipelined statement futures), fused (same-domain multi-op
-// tasks) or whole-txn (single-warehouse transactions as one task, the
-// default).
+// per-statement (pipelined statement futures) or whole-txn
+// (single-warehouse transactions as one task, the default).
 //
 // -wal DIR turns on per-domain write-ahead logging with periodic
 // checkpoints (delegated engine only); -fsync picks the flush discipline
@@ -41,7 +40,7 @@ import (
 
 func main() {
 	engine := flag.String("engine", "delegated", "engine: delegated or direct")
-	mode := flag.String("mode", "whole-txn", "delegated statement→task mapping: per-statement, fused or whole-txn")
+	mode := flag.String("mode", "whole-txn", "delegated statement→task mapping: per-statement or whole-txn")
 	tree := flag.String("tree", "fptree", "index structure: fptree or bwtree")
 	warehouses := flag.Int("warehouses", 4, "TPC-C warehouses")
 	customers := flag.Int("customers", 300, "customers per district (scaled down)")

@@ -93,16 +93,24 @@ func main() {
 		}
 	}
 
-	// Analytical path: bulk-load then scan the OLAP indexes.
-	var ops []func(ds any) any
+	// Analytical path: bulk-load then scan the OLAP indexes. The load is
+	// bulk bursting: submit every insert, then synchronise once on all of
+	// the futures.
+	futs := make([]*robustconf.Future, 0, 5000)
 	for i := uint64(0); i < 5000; i++ {
 		i := i
-		ops = append(ops, func(ds any) any {
+		f, err := session.Submit(robustconf.Task{Structure: "olap-idx-1", Op: func(ds any) any {
 			return ds.(*btree.Tree).Insert(i, i, nil)
-		})
+		}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		futs = append(futs, f)
 	}
-	if _, err := session.SubmitBulk("olap-idx-1", ops); err != nil {
-		log.Fatal(err)
+	for _, f := range futs {
+		if _, err := f.Result(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	count, err := session.Invoke(robustconf.Task{Structure: "olap-idx-1", Op: func(ds any) any {
 		n := 0

@@ -56,7 +56,7 @@ func TestIntegrationStress(t *testing.T) {
 	}
 	for _, name := range names {
 		keys := workload.LoadKeys(records)
-		_, err := boot.SubmitBulk(name, []func(ds any) any{func(ds any) any {
+		_, err := boot.Invoke(robustconf.Task{Structure: name, Op: func(ds any) any {
 			idx := ds.(index.Index)
 			for _, k := range keys {
 				idx.Insert(k, k, nil)

@@ -9,10 +9,35 @@ import (
 	"robustconf/internal/delegation"
 )
 
-// SubmitBulk error paths: a panicking op mid-bulk, posts rescued from a
+// Bulk-bursting error paths: a panicking op mid-bulk, posts rescued from a
 // sealed buffer mid-bulk, and session teardown with bulk work outstanding.
 
-func TestSubmitBulkPartialPanic(t *testing.T) {
+// submitBulk is the bulk-bursting mode over Submit: every op is delegated
+// under one synchronisation phase, then every future awaited. Results hold
+// each op's value in order (nil where it failed); the error is the first
+// typed error among them.
+func submitBulk(s *Session, structure string, ops []func(ds any) any) ([]any, error) {
+	futs := make([]*delegation.Future, len(ops))
+	for i, op := range ops {
+		f, err := s.Submit(Task{Structure: structure, Op: op})
+		if err != nil {
+			return nil, err
+		}
+		futs[i] = f
+	}
+	out := make([]any, len(ops))
+	var firstErr error
+	for i, f := range futs {
+		v, err := f.Result()
+		out[i] = v
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return out, firstErr
+}
+
+func TestBulkBurstPartialPanic(t *testing.T) {
 	cfg, structures := smallConfig(2)
 	rt, err := Start(cfg, structures)
 	if err != nil {
@@ -31,10 +56,10 @@ func TestSubmitBulkPartialPanic(t *testing.T) {
 		}
 		ops[i] = func(any) any { return i * 10 }
 	}
-	out, err := s.SubmitBulk("tree", ops)
+	out, err := submitBulk(s, "tree", ops)
 	var pe delegation.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("SubmitBulk error = %v, want PanicError", err)
+		t.Fatalf("bulk error = %v, want PanicError", err)
 	}
 	if pe.Value != "bulk op bug" {
 		t.Errorf("panic value = %v", pe.Value)
@@ -59,7 +84,7 @@ func TestSubmitBulkPartialPanic(t *testing.T) {
 	}
 }
 
-func TestSubmitBulkIntoSealedBuffer(t *testing.T) {
+func TestBulkBurstIntoSealedBuffer(t *testing.T) {
 	cfg, structures := smallConfig(2)
 	rt, err := Start(cfg, structures)
 	if err != nil {
@@ -85,15 +110,15 @@ func TestSubmitBulkIntoSealedBuffer(t *testing.T) {
 	var bulkErr error
 	go func() {
 		defer close(done)
-		out, bulkErr = s.SubmitBulk("tree", ops)
+		out, bulkErr = submitBulk(s, "tree", ops)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("SubmitBulk hung on a sealed buffer")
+		t.Fatal("bulk submission hung on a sealed buffer")
 	}
 	if !errors.Is(bulkErr, delegation.ErrWorkerStopped) {
-		t.Fatalf("SubmitBulk error = %v, want ErrWorkerStopped", bulkErr)
+		t.Fatalf("bulk error = %v, want ErrWorkerStopped", bulkErr)
 	}
 	for i, v := range out {
 		if v != nil {
@@ -139,7 +164,7 @@ func TestCloseWithBulkOutstanding(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 			ran.Add(1)
 			return nil
-		}, nil); err != nil {
+		}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -633,72 +633,71 @@ type Session struct {
 	readShards        map[*Domain]*obs.ClientShard
 }
 
-// sessionClient pairs a domain's delegation client with a reusable task
-// thunk. The thunk closes over the sessionClient once, at client creation,
-// and reads the op/ds fields the session stores immediately before each
-// synchronous post — so Invoke wraps a Task without allocating a closure
-// per call. Safe because a Session is single-threaded and Invoke is
-// synchronous: the fields cannot be overwritten while a posted thunk may
-// still read them (the slot post's release store publishes them to the
-// worker along with the task).
-//
-// The pipelined path (SubmitAsync) generalises the same trick to many
-// statements in flight: each reserved slot owns an asyncThunk argument
-// block and each in-flight statement a pooled AsyncFuture, so issuing a
-// burst of independent statements allocates nothing in steady state.
+// sessionClient pairs a domain's delegation client with one argument block
+// per slot and the FIFO of pipelined futures. A closure op posts its slot's
+// prebuilt run/log funcs, which read the slot's block, so neither a
+// synchronous Invoke nor a burst of pipelined statements allocates a
+// per-call closure; pooled AsyncFutures keep the pipelined path
+// allocation-free in steady state too.
 type sessionClient struct {
 	c      *delegation.Client
-	ds     any
-	op     func(ds any) any
-	thunk  delegation.Task
 	faults *metrics.FaultCounters
+	args   []argBlock // indexed by the client's slot index
 
-	// Logged-invocation state: the reusable record encoder reads these
-	// exactly like thunk reads ds/op. logenc prefixes the structure name
-	// and delegates to the task's Log encoder, so a logged Invoke carries
-	// no per-call closure either.
-	logName string
-	logApp  func(dst []byte) []byte
-	logenc  func(dst []byte) []byte
-
-	// Pipelined-statement state: per-slot argument blocks, the FIFO of
-	// issued-but-unrecycled futures, and the future free list.
-	athunks []asyncThunk
-	qhead   *AsyncFuture
-	qtail   *AsyncFuture
-	pool    *AsyncFuture
+	// Pipelined-statement state: the FIFO of issued-but-unrecycled futures
+	// and the future free list.
+	qhead *AsyncFuture
+	qtail *AsyncFuture
+	pool  *AsyncFuture
 }
 
-// asyncThunk is one reserved slot's argument block on the pipelined path.
-// SubmitAsync stores the structure instance, operation and argument here and
-// posts the slot's prebuilt fn, so a statement carries no per-call closure.
-// Reuse is safe for the same reason the sync thunk's is: the slot returns to
-// the free stack only after its embedded future completes, which happens
-// after the worker has finished reading these fields.
-type asyncThunk struct {
-	ds  any
-	op  func(ds, arg any) any
-	arg any
-	fn  delegation.Task
-
-	// Logged-statement state (SubmitAsyncLogged): the per-slot prebuilt
-	// encFn prefixes the structure name and calls encAp with the slot's
-	// argument block. The encoder runs on the worker after op, so it may
-	// derive the record from post-execution state reachable through arg.
-	name  string
-	encAp func(dst []byte, arg any) []byte
-	encFn func(dst []byte) []byte
+// call is a closure op's arguments: the worker runs op(ds, arg) and, when
+// enc is set and the op is not a read, encodes enc(dst, encArg) after the
+// structure name as the op's WAL record. The encoder runs on the worker
+// right after op, so it may derive the record from post-execution state.
+type call struct {
+	op     func(ds, arg any) any
+	arg    any
+	enc    func(dst []byte, arg any) []byte
+	encArg any
 }
 
-// AsyncFuture is the handle SubmitAsync returns for one pipelined
-// statement. It is pooled per session client: Wait caches the result, and
-// once a future is both resolved and consumed it recycles from the FIFO head
-// back onto the free list — so a long-lived session issues millions of
-// statements through a handful of future objects.
+// taskCall adapts a Task to a call: its one-argument Op and its Log ride as
+// the arguments of two fixed trampolines, so the adaptation allocates
+// nothing (func values box into an interface without allocating).
+func taskCall(t Task) call {
+	c := call{op: callOp, arg: t.Op}
+	if t.Log != nil {
+		c.enc, c.encArg = callLog, t.Log
+	}
+	return c
+}
+
+func callOp(ds, op any) any { return op.(func(ds any) any)(ds) }
+
+func callLog(dst []byte, log any) []byte { return log.(func(dst []byte) []byte)(dst) }
+
+// argBlock is one slot's closure argument block: run and log are built once
+// per slot and read the block's call, structure instance and name. Reuse is
+// safe: the slot returns to the free stack only after its future completes,
+// which happens after the worker has finished reading the block.
+type argBlock struct {
+	call
+	ds   any
+	name string
+	run  delegation.Task
+	log  func(dst []byte) []byte
+}
+
+// AsyncFuture is the handle SubmitAsync and SubmitKV return for one
+// pipelined statement. It is pooled per session client: Wait caches the
+// result, and once a future is both resolved and consumed it recycles from
+// the FIFO head back onto the free list — so a long-lived session issues
+// millions of statements through a handful of future objects.
 //
-// Consume-once contract: call Wait exactly once per returned future (it
-// blocks, or returns the result a Barrier already cached). After Wait the
-// handle may be recycled and must not be touched again.
+// Consume-once contract: call Wait (or WaitKV) exactly once per returned
+// future (it blocks, or returns the result a Barrier already cached). After
+// it the handle may be recycled and must not be touched again.
 type AsyncFuture struct {
 	sc       *sessionClient
 	h        delegation.InvokeHandle
@@ -784,17 +783,6 @@ func (sc *sessionClient) resolveOldest() bool {
 	return true
 }
 
-// ensureFree makes room for a synchronous delegation when every slot is held
-// by an un-awaited pipelined handle (the delegation client can harvest its
-// own ring-tracked delegations, but reserved handles are session-owned).
-func (sc *sessionClient) ensureFree() {
-	for sc.c.FreeSlots() == 0 && sc.c.Outstanding() == 0 {
-		if !sc.resolveOldest() {
-			return
-		}
-	}
-}
-
 // NewSession opens a session for a client thread logically running on the
 // given CPU; the CPU determines NUMA-nearest slot assignment. Burst is the
 // maximum number of outstanding tasks per domain.
@@ -836,44 +824,81 @@ func (s *Session) client(d *Domain) (*sessionClient, error) {
 	if d.obsDom != nil {
 		c.SetProbe(d.obsDom.NewClient())
 	}
-	sc := &sessionClient{c: c, faults: s.rt.faults}
-	sc.thunk = func() any { return sc.op(sc.ds) }
-	sc.logenc = func(dst []byte) []byte {
-		return sc.logApp(appendWALName(dst, sc.logName))
-	}
-	sc.athunks = make([]asyncThunk, len(slots))
-	for i := range sc.athunks {
-		at := &sc.athunks[i]
-		at.fn = func() any { return at.op(at.ds, at.arg) }
-		at.encFn = func(dst []byte) []byte {
-			return at.encAp(appendWALName(dst, at.name), at.arg)
-		}
+	sc := &sessionClient{c: c, faults: s.rt.faults, args: make([]argBlock, len(slots))}
+	for i := range sc.args {
+		b := &sc.args[i]
+		b.run = func() any { return b.op(b.ds, b.arg) }
+		b.log = func(dst []byte) []byte { return b.enc(appendWALName(dst, b.name), b.encArg) }
 	}
 	s.perDomain[d] = sc
 	return sc, nil
 }
 
-// Submit routes the task to the domain owning its structure and delegates
-// it, returning the future (step 1/2.x of Figure 3).
-func (s *Session) Submit(task Task) (*delegation.Future, error) {
-	s.noteWrite(task.Structure, 1)
-	d, ds, err := s.rt.route(task.Structure)
+// post is the one submission path every Session method takes. It notes a
+// write for the adaptive read policy (reads are noted by SubmitRead), routes
+// the structure to its owning domain, and binds the op to its target: the
+// structure's batch kernel for a typed op (cl == nil), or cl's closure. When
+// every slot is held by an un-awaited pipelined statement it resolves the
+// oldest one first (its result stays cached for its Wait), preserving the
+// bursting-window semantics. The op then goes into a reserved slot — the
+// closure reading the slot's argument block — and post returns the handle;
+// or, with detached non-nil (Submit), through Delegate with a heap closure,
+// and the detached future lands in *detached.
+func (s *Session) post(structure string, op delegation.Op, cl *call, detached **delegation.Future) (*sessionClient, delegation.InvokeHandle, error) {
+	var h delegation.InvokeHandle
+	if !op.Read {
+		s.noteWrite(structure)
+	}
+	d, ds, err := s.rt.route(structure)
 	if err != nil {
-		return nil, err
+		return nil, h, err
+	}
+	if cl == nil {
+		kern, ok := ds.(delegation.BatchKernel)
+		if !ok {
+			return nil, h, fmt.Errorf("core: structure %q has no batch kernel; submit a closure task", structure)
+		}
+		op.Kern = kern
 	}
 	sc, err := s.client(d)
 	if err != nil {
-		return nil, err
+		return nil, h, err
 	}
-	sc.ensureFree()
-	op := task.Op
-	if task.Log != nil {
-		name, logApp := task.Structure, task.Log
-		return sc.c.DelegateLogged(func() any { return op(ds) }, func(dst []byte) []byte {
-			return logApp(appendWALName(dst, name))
-		}), nil
+	for sc.c.FreeSlots() == 0 && sc.c.Outstanding() == 0 {
+		if !sc.resolveOldest() {
+			return nil, h, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", d.spec.Name)
+		}
 	}
-	return sc.c.Delegate(func() any { return op(ds) }), nil
+	if detached != nil {
+		c := *cl
+		op.Task = func() any { return c.op(ds, c.arg) }
+		if c.enc != nil {
+			op.Log = func(dst []byte) []byte { return c.enc(appendWALName(dst, structure), c.encArg) }
+		}
+		*detached = sc.c.Delegate(op)
+		return sc, h, nil
+	}
+	i, _ := sc.c.Reserve() // cannot fail: a slot is free or Delegate-tracked
+	if cl != nil {
+		b := &sc.args[i]
+		b.call, b.ds, b.name = *cl, ds, structure
+		op.Task = b.run
+		if cl.enc != nil {
+			op.Log = b.log
+		}
+	}
+	return sc, sc.c.Post(i, op), nil
+}
+
+// Submit routes the task to the domain owning its structure and delegates
+// it, returning the future (step 1/2.x of Figure 3). The future is detached:
+// it stays valid for as long as the caller holds it, at the cost of one heap
+// future and closure per call (Invoke and SubmitAsync allocate nothing).
+func (s *Session) Submit(task Task) (*delegation.Future, error) {
+	var f *delegation.Future
+	cl := taskCall(task)
+	_, _, err := s.post(task.Structure, delegation.Op{}, &cl, &f)
+	return f, err
 }
 
 // SubmitAsync issues one pipelined statement against the named structure and
@@ -885,61 +910,36 @@ func (s *Session) Submit(task Task) (*delegation.Future, error) {
 // it keeps the steady state allocation-free (per-slot argument blocks,
 // pooled futures, recycled slot-embedded delegation futures).
 //
+// A non-nil enc makes the statement a logged mutation on a WAL-enabled
+// runtime: enc encodes its logical record from the argument (on the worker,
+// after op), and the future completes only after the record's group commit —
+// Wait returning nil means durable. Like op, enc must be statement-pooled or
+// otherwise allocation-free to keep the hot path clean.
+//
 // When all slots are in flight SubmitAsync resolves the oldest outstanding
-// statement first (its result stays cached for its Wait), preserving the
-// bursting-window semantics of Delegate.
-func (s *Session) SubmitAsync(structure string, op func(ds, arg any) any, arg any) (*AsyncFuture, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	i, ok := sc.c.Reserve()
-	for !ok {
-		if !sc.resolveOldest() {
-			return nil, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", d.spec.Name)
-		}
-		i, ok = sc.c.Reserve()
-	}
-	at := &sc.athunks[i]
-	at.ds, at.op, at.arg = ds, op, arg
-	f := sc.getFuture()
-	f.h = sc.c.PostReserved(i, at.fn)
-	sc.enqueue(f)
-	return f, nil
+// statement first (its result stays cached for its Wait).
+func (s *Session) SubmitAsync(structure string, op func(ds, arg any) any, arg any, enc func(dst []byte, arg any) []byte) (*AsyncFuture, error) {
+	return s.submit(structure, delegation.Op{}, &call{op: op, arg: arg, enc: enc, encArg: arg})
 }
 
-// SubmitAsyncLogged is SubmitAsync for a logged mutation: enc encodes the
-// statement's logical WAL record from its argument, and the future completes
-// only after the record's group commit — Wait returning nil means durable.
-// Like SubmitAsync the op and enc must be statement-pooled or otherwise
-// allocation-free to keep the hot path clean.
-func (s *Session) SubmitAsyncLogged(structure string, op func(ds, arg any) any, arg any, enc func(dst []byte, arg any) []byte) (*AsyncFuture, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
+// SubmitKV issues one pipelined typed op and returns its future without
+// waiting — the typed counterpart of SubmitAsync, and the path that feeds
+// interleaved execution best: a burst of SubmitKV calls lands several typed
+// ops in the worker's pass, so one sweep executes them through a single
+// prefetch-interleaved kernel call. Synchronise with WaitKV (or Barrier,
+// then WaitKV for the cached results).
+func (s *Session) SubmitKV(structure string, kind uint8, key, val uint64) (*AsyncFuture, error) {
+	return s.submit(structure, delegation.Op{Kind: kind, Key: key, Val: val}, nil)
+}
+
+// submit posts a pipelined statement and queues its pooled future.
+func (s *Session) submit(structure string, op delegation.Op, cl *call) (*AsyncFuture, error) {
+	sc, h, err := s.post(structure, op, cl, nil)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	i, ok := sc.c.Reserve()
-	for !ok {
-		if !sc.resolveOldest() {
-			return nil, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", d.spec.Name)
-		}
-		i, ok = sc.c.Reserve()
-	}
-	at := &sc.athunks[i]
-	at.ds, at.op, at.arg = ds, op, arg
-	at.name, at.encAp = structure, enc
 	f := sc.getFuture()
-	f.h = sc.c.PostReservedLogged(i, at.fn, at.encFn)
+	f.h, f.kv = h, cl == nil
 	sc.enqueue(f)
 	return f, nil
 }
@@ -971,7 +971,7 @@ func (f *AsyncFuture) WaitKV() (uint64, bool, error) {
 // Done reports whether the statement's result is already available without
 // blocking (either cached by a Barrier or completed in its slot).
 func (f *AsyncFuture) Done() bool {
-	return f.resolved || f.sc.c.HandleDone(f.h)
+	return f.resolved || f.sc.c.Done(f.h)
 }
 
 // Barrier resolves every outstanding pipelined statement previously issued
@@ -1001,35 +1001,25 @@ func (s *Session) Barrier(structure string) error {
 // Invoke submits the task and waits for its result (synchronous
 // delegation). Lifecycle failures surface as the error: a PanicError when
 // the task panicked in its domain, ErrWorkerStopped when the runtime shut
-// down before the task ran.
+// down before the task ran. A task with Log is a logged mutation: a nil
+// error means its record is durable.
 //
-// Invoke is the zero-allocation round trip: the task runs through the
-// session's reusable per-domain thunk and the slot's recycled embedded
-// future, so the steady state allocates nothing (unlike Submit, whose
-// detached future and closure must escape to the heap).
-func (s *Session) Invoke(task Task) (any, error) {
-	s.noteWrite(task.Structure, 1)
-	d, ds, err := s.rt.route(task.Structure)
+// Invoke is the zero-allocation round trip: the task runs through the slot's
+// argument block and recycled embedded future, so the steady state allocates
+// nothing (unlike Submit, whose detached future and closure must escape to
+// the heap).
+func (s *Session) Invoke(task Task) (any, error) { return s.invoke(task, false) }
+
+// invoke is the synchronous closure round trip behind Invoke and the
+// delegated SubmitRead (read set: the slot is flagged read-only and Log is
+// ignored).
+func (s *Session) invoke(task Task, read bool) (any, error) {
+	cl := taskCall(task)
+	sc, h, err := s.post(task.Structure, delegation.Op{Read: read}, &cl, nil)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	sc.ensureFree()
-	sc.ds, sc.op = ds, task.Op
-	var v any
-	if task.Log != nil {
-		// Logged mutation: the future completes after the group commit, so
-		// a nil error here means the record is durable. Field reuse is safe
-		// for the same reason ds/op reuse is — the call is synchronous and
-		// the encoder runs on the worker before the future completes.
-		sc.logName, sc.logApp = task.Structure, task.Log
-		v, err = sc.c.InvokeLoggedErr(sc.thunk, sc.logenc)
-	} else {
-		v, err = sc.c.InvokeErr(sc.thunk)
-	}
+	v, err := sc.c.Await(h)
 	if err != nil {
 		s.rt.faults.TasksFailed.Add(1)
 		return nil, err
@@ -1047,86 +1037,16 @@ func (s *Session) Invoke(task Task) (any, error) {
 // delegation.BatchKernel (every built-in index does); structures without a
 // kernel must use Invoke with a closure task.
 func (s *Session) InvokeKV(structure string, kind uint8, key, val uint64) (uint64, bool, error) {
-	_, kern, sc, err := s.kvRoute(structure, "Invoke")
+	sc, h, err := s.post(structure, delegation.Op{Kind: kind, Key: key, Val: val}, nil, nil)
 	if err != nil {
 		return 0, false, err
 	}
-	sc.ensureFree()
-	v, found, err := sc.c.InvokeKVErr(kern, kind, key, val)
+	v, found, err := sc.c.AwaitKV(h)
 	if err != nil {
 		s.rt.faults.TasksFailed.Add(1)
 		return 0, false, err
 	}
 	return v, found, nil
-}
-
-// kvRoute resolves a typed op's structure to its owning domain, its batch
-// kernel and this session's client there; alt names the closure call to
-// use instead when the structure has no kernel.
-func (s *Session) kvRoute(structure, alt string) (*Domain, delegation.BatchKernel, *sessionClient, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	kern, ok := ds.(delegation.BatchKernel)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("core: structure %q has no batch kernel; use %s", structure, alt)
-	}
-	sc, err := s.client(d)
-	return d, kern, sc, err
-}
-
-// SubmitKV issues one pipelined typed op and returns its future without
-// waiting — the typed counterpart of SubmitAsync, and the path that feeds
-// interleaved execution best: a burst of SubmitKV calls lands several typed
-// ops in the worker's pass, so one sweep executes them through a single
-// prefetch-interleaved kernel call. Synchronise with WaitKV (or Barrier,
-// then WaitKV for the cached results).
-func (s *Session) SubmitKV(structure string, kind uint8, key, val uint64) (*AsyncFuture, error) {
-	d, kern, sc, err := s.kvRoute(structure, "SubmitAsync")
-	if err != nil {
-		return nil, err
-	}
-	i, ok := sc.c.Reserve()
-	for !ok {
-		if !sc.resolveOldest() {
-			return nil, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", d.spec.Name)
-		}
-		i, ok = sc.c.Reserve()
-	}
-	f := sc.getFuture()
-	f.kv = true
-	f.h = sc.c.PostReservedKV(i, kern, kind, key, val)
-	sc.enqueue(f)
-	return f, nil
-}
-
-// SubmitBulk delegates several tasks targeting the same structure under a
-// single synchronisation phase (bulk bursting) and returns their results in
-// order. The error is the first lifecycle failure among them (PanicError,
-// ErrWorkerStopped); results of failed tasks are nil.
-func (s *Session) SubmitBulk(structure string, ops []func(ds any) any) ([]any, error) {
-	s.noteWrite(structure, uint64(len(ops)))
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	sc.ensureFree()
-	tasks := make([]delegation.Task, len(ops))
-	for i, op := range ops {
-		op := op
-		tasks[i] = func() any { return op(ds) }
-	}
-	out, err := sc.c.DelegateBulkErr(tasks)
-	if err != nil {
-		s.rt.faults.TasksFailed.Add(1)
-	}
-	return out, err
 }
 
 // Close drains all outstanding tasks and returns the session's slots. The
@@ -1150,7 +1070,7 @@ func (s *Session) Close() error {
 			f.consumed = true
 		}
 		sc.qhead, sc.qtail, sc.pool = nil, nil, nil
-		if err := sc.c.DrainErr(); err != nil && firstErr == nil {
+		if err := sc.c.Drain(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if err := d.inbox.ReleaseSlots(sc.c.Slots()); err != nil && firstErr == nil {

@@ -198,7 +198,7 @@ func TestAsyncSubmitBurst(t *testing.T) {
 
 type futWrap struct{ wait func() any }
 
-func TestSubmitBulk(t *testing.T) {
+func TestBulkBurst(t *testing.T) {
 	cfg, structures := twoDomainConfig(t)
 	rt, _ := Start(cfg, structures)
 	defer rt.Stop()
@@ -213,7 +213,7 @@ func TestSubmitBulk(t *testing.T) {
 			return i
 		})
 	}
-	out, err := s.SubmitBulk("map", ops)
+	out, err := submitBulk(s, "map", ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSubmitBulk(t *testing.T) {
 	if structures["map"].(*hashmap.Map).Len() != 100 {
 		t.Error("bulk inserts lost")
 	}
-	if _, err := s.SubmitBulk("nope", ops); err == nil {
+	if _, err := submitBulk(s, "nope", ops); err == nil {
 		t.Error("bulk to unknown structure accepted")
 	}
 }

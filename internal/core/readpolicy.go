@@ -207,10 +207,9 @@ func (s *Session) noteRead(rs *readState) {
 }
 
 // noteWrite records one mutating submission, looked up by structure name so
-// the write paths (Invoke, Submit, SubmitAsync, the batch entry points) can
-// call it unconditionally: structures without an adaptive policy cost one
-// read-only map probe.
-func (s *Session) noteWrite(structure string, n uint64) {
+// the session's one post path can call it unconditionally: structures
+// without an adaptive policy cost one read-only map probe.
+func (s *Session) noteWrite(structure string) {
 	rs := s.rt.readStates[structure]
 	if rs == nil || rs.policy != ReadAdaptive {
 		return
@@ -219,8 +218,8 @@ func (s *Session) noteWrite(structure string, n uint64) {
 		s.flushReadStats()
 		s.rsLast = rs
 	}
-	s.rsWrites += n
-	s.rsSince += n
+	s.rsWrites++
+	s.rsSince++
 	if s.rsSince >= readStatsFlushEvery {
 		s.flushReadStats()
 		s.rsLast = rs
@@ -267,11 +266,7 @@ func (s *Session) countBypass(d *Domain, hit bool, retries uint64) {
 func (s *Session) SubmitRead(task Task) (any, error) {
 	rs := s.rt.readStates[task.Structure] // read-only map after Start
 	if rs == nil {
-		d, ds, err := s.rt.route(task.Structure)
-		if err != nil {
-			return nil, err
-		}
-		return s.invokeRead(d, ds, task)
+		return s.invoke(task, true)
 	}
 	s.noteRead(rs)
 	if rs.bypassNow() {
@@ -330,11 +325,7 @@ func (s *Session) SubmitRead(task Task) (any, error) {
 			s.countBypass(d, false, bypassAttempts)
 		}
 	}
-	d, ds, err := s.rt.route(task.Structure)
-	if err != nil {
-		return nil, err
-	}
-	return s.invokeRead(d, ds, task)
+	return s.invoke(task, true)
 }
 
 // runBypassRead executes a bypass read on the client's own goroutine,
@@ -350,23 +341,6 @@ func runBypassRead(op func(any) any, ds any) (v any, err error) {
 		}
 	}()
 	return op(ds), nil
-}
-
-// invokeRead is the delegated read: Invoke's zero-allocation round trip with
-// the slot flagged read-only.
-func (s *Session) invokeRead(d *Domain, ds any, task Task) (any, error) {
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	sc.ensureFree()
-	sc.ds, sc.op = ds, task.Op
-	v, err := sc.c.InvokeReadErr(sc.thunk)
-	if err != nil {
-		s.rt.faults.TasksFailed.Add(1)
-		return nil, err
-	}
-	return v, nil
 }
 
 // BypassArmed reports whether every buffer of the domain currently has a

@@ -66,8 +66,8 @@ type Durable interface {
 	WALSnapshot(w io.Writer) error
 	// WALRestore rebuilds the structure in place from a snapshot stream.
 	WALRestore(r io.Reader) error
-	// WALApply applies one logical log record produced by a Task.Log /
-	// SubmitAsyncLogged encoder. Records replay in per-worker commit order
+	// WALApply applies one logical log record produced by a Task.Log or
+	// SubmitAsync encoder. Records replay in per-worker commit order
 	// and must be idempotent under re-application.
 	WALApply(rec []byte) error
 }

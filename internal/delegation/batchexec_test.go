@@ -99,7 +99,32 @@ func postKVt(t *testing.T, c *Client, kern BatchKernel, kind uint8, key, val uin
 	if !ok {
 		t.Fatal("no free slot")
 	}
-	return c.PostReservedKV(i, kern, kind, key, val)
+	return c.Post(i, Op{Kern: kern, Kind: kind, Key: key, Val: val})
+}
+
+// postTaskt posts a closure op into a reserved slot.
+func postTaskt(t *testing.T, c *Client, op Op) InvokeHandle {
+	t.Helper()
+	i, ok := c.Reserve()
+	if !ok {
+		t.Fatal("no free slot")
+	}
+	return c.Post(i, op)
+}
+
+// postLoggedt posts a logged closure op that applies one typed mutation to
+// k: its value is the kernel's ok flag and its record testKVEnc's encoding.
+func postLoggedt(t *testing.T, c *Client, k *mapKernel, kind uint8, key, val uint64) InvokeHandle {
+	t.Helper()
+	return postTaskt(t, c, Op{
+		Task: func() any {
+			var outV [1]uint64
+			var outOK [1]bool
+			k.ExecBatch([]uint8{kind}, []uint64{key}, []uint64{val}, outV[:], outOK[:])
+			return outOK[0]
+		},
+		Log: func(dst []byte) []byte { return testKVEnc(dst, kind, key, val) },
+	})
 }
 
 // TestBatchedSweepGroupsAndAnswers drives one batched pass over a mixed
@@ -113,13 +138,12 @@ func TestBatchedSweepGroupsAndAnswers(t *testing.T) {
 	ka.m[7] = 70
 	kb.m[9] = 90
 
-	h1 := postKVt(t, c, ka, KVGet, 7, 0)    // group A: [get, insert]
+	h1 := postKVt(t, c, ka, KVGet, 7, 0) // group A: [get, insert]
 	h2 := postKVt(t, c, ka, KVInsert, 8, 80)
-	i3, _ := c.Reserve()
-	h3 := c.PostReserved(i3, func() any { return "opaque" }) // splits the runs
-	h4 := postKVt(t, c, ka, KVUpdate, 7, 71) // group B: same kernel, split by the closure
-	h5 := postKVt(t, c, kb, KVDelete, 9, 0)  // group C: different kernel ⇒ own group
-	h6 := postKVt(t, c, kb, KVGet, 9, 0)     // group C continued: delete then get ⇒ miss
+	h3 := postTaskt(t, c, Op{Task: func() any { return "opaque" }}) // splits the runs
+	h4 := postKVt(t, c, ka, KVUpdate, 7, 71)                        // group B: same kernel, split by the closure
+	h5 := postKVt(t, c, kb, KVDelete, 9, 0)                         // group C: different kernel ⇒ own group
+	h6 := postKVt(t, c, kb, KVGet, 9, 0)                            // group C continued: delete then get ⇒ miss
 
 	if n := buf.Sweep(); n != 6 {
 		t.Fatalf("sweep answered %d, want 6", n)
@@ -219,8 +243,7 @@ func TestSweepMutatingWindowLazy(t *testing.T) {
 
 	h3 := postKVt(t, c, k, KVGet, 1, 0)
 	h4 := postKVt(t, c, k, KVGet, 1, 0)
-	i5, _ := c.Reserve()
-	h5 := c.PostReserved(i5, func() any { return nil }) // unflagged: mutating
+	h5 := postTaskt(t, c, Op{Task: func() any { return nil }}) // unflagged: mutating
 	h6 := postKVt(t, c, k, KVGet, 1, 0)
 	buf.Sweep()
 	for _, h := range []InvokeHandle{h3, h4, h6} {
@@ -255,8 +278,7 @@ func TestBatchedSweepKernelPanicFailsRun(t *testing.T) {
 	h1 := postKVt(t, c, ka, KVInsert, 1, 10)
 	h2 := postKVt(t, c, ka, KVInsert, 2, 20) // boom
 	h3 := postKVt(t, c, ka, KVInsert, 3, 30) // same run: fails wholesale
-	i4, _ := c.Reserve()
-	h4 := c.PostReserved(i4, func() any { return 44 })
+	h4 := postTaskt(t, c, Op{Task: func() any { return 44 }})
 	h5 := postKVt(t, c, kb, KVInsert, 5, 50)
 
 	buf.Sweep()
@@ -290,8 +312,7 @@ func TestBatchedSweepOpaquePanicMidBatch(t *testing.T) {
 	buf, c := newBatchedClient(t)
 	k := newMapKernel()
 	h1 := postKVt(t, c, k, KVInsert, 1, 10)
-	i2, _ := c.Reserve()
-	h2 := c.PostReserved(i2, func() any { panic("task boom") })
+	h2 := postTaskt(t, c, Op{Task: func() any { panic("task boom") }})
 	h3 := postKVt(t, c, k, KVGet, 1, 0)
 
 	if n := buf.Sweep(); n != 3 {
@@ -341,36 +362,30 @@ func testKVEnc(dst []byte, kind uint8, key, val uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, val)
 }
 
-// TestBatchedSweepWALStagesAndCommits runs a logged batched pass: typed
+// TestBatchedSweepWALStagesAndCommits runs a logged pass: logged closure
 // mutations stage records in execution order and complete only after the
-// group commit; the typed read completes inline and stages nothing.
+// group commit; the typed read beside them completes inline and stages
+// nothing.
 func TestBatchedSweepWALStagesAndCommits(t *testing.T) {
 	buf, c := newBatchedClient(t)
 	w := &recordingWAL{}
 	buf.SetWAL(w)
 	k := newMapKernel()
 
-	post := func(kind uint8, key, val uint64) InvokeHandle {
-		i, ok := c.Reserve()
-		if !ok {
-			t.Fatal("no free slot")
-		}
-		return c.PostReservedKVLogged(i, k, kind, key, val, testKVEnc)
-	}
-	h1 := post(KVInsert, 1, 11)
-	h2 := post(KVGet, 1, 0) // read-only: never staged
-	h3 := post(KVUpdate, 1, 12)
+	h1 := postLoggedt(t, c, k, KVInsert, 1, 11)
+	h2 := postKVt(t, c, k, KVGet, 1, 0) // read-only: never staged
+	h3 := postLoggedt(t, c, k, KVUpdate, 1, 12)
 
 	if n := buf.Sweep(); n != 3 {
 		t.Fatalf("sweep answered %d, want 3", n)
 	}
-	if _, ok, err := c.AwaitKV(h1); err != nil || !ok {
+	if ok, err := c.Await(h1); err != nil || ok != true {
 		t.Fatalf("insert ok=%v err=%v", ok, err)
 	}
 	if v, ok, err := c.AwaitKV(h2); err != nil || !ok || v != 11 {
 		t.Fatalf("get = %d,%v,%v want 11,true,nil", v, ok, err)
 	}
-	if _, ok, err := c.AwaitKV(h3); err != nil || !ok {
+	if ok, err := c.Await(h3); err != nil || ok != true {
 		t.Fatalf("update ok=%v err=%v", ok, err)
 	}
 	if w.begins != 1 || w.commits != 1 || w.aborts != 0 {
@@ -386,10 +401,10 @@ func TestBatchedSweepWALStagesAndCommits(t *testing.T) {
 	}
 }
 
-// TestBatchedSweepWALCommitErrorFailsStashed pins the group-commit rule on
-// the batched path: when Commit fails, every stashed (logged-mutation)
-// future fails with a PanicError carrying the commit error, while inline
-// completions (the typed read) keep their results.
+// TestBatchedSweepWALCommitErrorFailsStashed pins the group-commit rule:
+// when Commit fails, every stashed (logged-mutation) future fails with a
+// PanicError carrying the commit error, while inline completions (the typed
+// read) keep their results.
 func TestBatchedSweepWALCommitErrorFailsStashed(t *testing.T) {
 	buf, c := newBatchedClient(t)
 	w := &recordingWAL{commitErr: errors.New("disk gone")}
@@ -397,14 +412,12 @@ func TestBatchedSweepWALCommitErrorFailsStashed(t *testing.T) {
 	k := newMapKernel()
 	k.m[5] = 55
 
-	i1, _ := c.Reserve()
-	h1 := c.PostReservedKVLogged(i1, k, KVInsert, 1, 11, testKVEnc)
-	i2, _ := c.Reserve()
-	h2 := c.PostReservedKVLogged(i2, k, KVGet, 5, 0, testKVEnc)
+	h1 := postLoggedt(t, c, k, KVInsert, 1, 11)
+	h2 := postKVt(t, c, k, KVGet, 5, 0)
 
 	buf.Sweep()
 	var pe PanicError
-	if _, _, err := c.AwaitKV(h1); !errors.As(err, &pe) {
+	if _, err := c.Await(h1); !errors.As(err, &pe) {
 		t.Fatalf("logged insert err = %v, want PanicError", err)
 	}
 	if v, ok, err := c.AwaitKV(h2); err != nil || !ok || v != 55 {
@@ -422,12 +435,9 @@ func TestBatchedSweepWALPanicAborts(t *testing.T) {
 	buf.SetWAL(w)
 	k := newMapKernel()
 
-	i1, _ := c.Reserve()
-	h1 := c.PostReservedKVLogged(i1, k, KVInsert, 1, 11, testKVEnc) // stages fine
-	i2, _ := c.Reserve()
-	h2 := c.PostReservedKVLogged(i2, k, KVInsert, 2, 22, testKVEnc) // stage boom
-	i3, _ := c.Reserve()
-	h3 := c.PostReservedKVLogged(i3, k, KVInsert, 3, 33, testKVEnc) // never staged
+	h1 := postLoggedt(t, c, k, KVInsert, 1, 11) // stages fine
+	h2 := postLoggedt(t, c, k, KVInsert, 2, 22) // stage boom
+	h3 := postLoggedt(t, c, k, KVInsert, 3, 33) // never staged
 
 	func() {
 		defer func() {
@@ -442,7 +452,7 @@ func TestBatchedSweepWALPanicAborts(t *testing.T) {
 	}
 	var pe PanicError
 	for i, h := range []InvokeHandle{h1, h2, h3} {
-		if _, _, err := c.AwaitKV(h); !errors.As(err, &pe) {
+		if _, err := c.Await(h); !errors.As(err, &pe) {
 			t.Fatalf("op %d err = %v, want PanicError", i+1, err)
 		}
 	}
@@ -536,11 +546,11 @@ func TestSweepSealRaceMixed(t *testing.T) {
 				}
 				switch i % 3 {
 				case 0:
-					hs[i] = c.PostReservedKV(slot, k, KVInsert, uint64(i+1), uint64(i))
+					hs[i] = c.Post(slot, Op{Kern: k, Kind: KVInsert, Key: uint64(i + 1), Val: uint64(i)})
 				case 1:
-					hs[i] = c.PostReserved(slot, func() any { plain.Add(1); return nil })
+					hs[i] = c.Post(slot, Op{Task: func() any { plain.Add(1); return nil }})
 				default:
-					hs[i] = c.PostReservedLogged(slot, func() any { logged.Add(1); return nil }, enc)
+					hs[i] = c.Post(slot, Op{Task: func() any { logged.Add(1); return nil }, Log: enc})
 				}
 			}
 		}()
@@ -591,7 +601,7 @@ func TestSweepSealRaceMixed(t *testing.T) {
 
 // TestBatchedSweepPostAfterSealRescued: a typed post into a sealed buffer
 // must be rescued with ErrWorkerStopped (the stop/post race contract,
-// extended to postKV).
+// extended to typed ops).
 func TestBatchedSweepPostAfterSealRescued(t *testing.T) {
 	buf, c := newBatchedClient(t)
 	buf.Seal()

@@ -21,8 +21,8 @@
 // Hot-path memory discipline (DESIGN.md §10): the steady-state round trip
 // allocates nothing and is O(1) per operation. Each slot embeds a recycled
 // Future whose completion word carries a monotonically increasing generation
-// (gen<<2 | state), so the synchronous Invoke/InvokeErr paths reuse the same
-// future across operations without ABA: every completion path — worker
+// (gen<<2 | state), so the reserved-slot Post/Await round trip reuses the
+// same future across operations without ABA: every completion path — worker
 // sweep, seal rescue, crash fail-over — first claims the slot with a CAS on
 // its versioned state word and then publishes the result with a CAS on the
 // future's generation word, making both execution and completion exactly
@@ -30,6 +30,10 @@
 // fixed-capacity index rings, so posting never scans and never grows.
 // Asynchronous Delegate still hands out a one-shot heap future, because its
 // caller may hold the handle arbitrarily long after the slot has cycled.
+//
+// Every post carries one descriptor, Op: an opaque closure (optionally
+// read-only, optionally WAL-logged) or a typed key/value op the sweep batches
+// through the target structure's kernel.
 //
 // NUMA-aware slot assignment — giving a client slots in the buffer of the
 // worker nearest to it — is the caller's policy: AcquireSlots accepts a
@@ -107,8 +111,8 @@ type Future struct {
 	err  error
 	span *obs.Span // lifecycle span on sampled posts; nil almost always
 
-	// Typed result channel for KV posts (postKV): written by the completer
-	// before the publishing CAS, read by awaitTokenKV after it, so a typed
+	// Typed result channel for typed ops: written by the completer before
+	// the publishing CAS, read by awaitTokenKV after it, so a typed
 	// round trip never boxes a uint64 into val. Every completion path of a
 	// typed op either writes these or completes with futError, so no reset
 	// in begin is needed.
@@ -165,8 +169,8 @@ func (f *Future) awaitToken(tok uint64) (any, error) {
 	return f.val, nil
 }
 
-// awaitTokenKV is awaitToken for a typed KV post: it returns the typed
-// result without boxing.
+// awaitTokenKV is awaitToken for a typed op: it returns the typed result
+// without boxing.
 func (f *Future) awaitTokenKV(tok uint64) (uint64, bool, error) {
 	if f.awaitWord(tok) {
 		return 0, false, f.err
@@ -329,27 +333,37 @@ func (f *Future) TryGet() (any, bool) {
 type Slot struct {
 	_     [128]byte // padding: no false sharing with the previous slot
 	state atomic.Uint64
-	task  Task
+	op    Op
 	fut   *Future
-	fut0  Future // recycled future for the zero-alloc synchronous path
+	fut0  Future // recycled future for the zero-alloc reserved-slot path
 	owner int32  // client id for diagnostics; -1 = unowned
-	ro    bool   // task is read-only: the sweep must not count it as a mutating batch
-	enc   func(dst []byte) []byte
 	buf   *Buffer
+}
 
-	// Typed KV posts (postKV): the op encoded as plain words instead of a
-	// closure, so the sweep can group same-kernel ops into one interleaved
-	// ExecBatch call and the result travels back through the future's typed
-	// fields — no boxing anywhere. kern is nil for opaque closure posts.
-	kern  BatchKernel
-	kind  uint8
-	key   uint64
-	val   uint64
-	kvenc KVEncoder
-	// encKV adapts kvenc to the WALSink.StageRecord shape; prebuilt once in
-	// NewBuffer (it reads the slot's kind/key/val at encode time), so logged
-	// typed posts allocate nothing.
-	encKV func(dst []byte) []byte
+// Op describes one delegated operation — the single shape every post takes.
+//
+// A closure op (Kern == nil) runs Task on the worker; Read marks it
+// read-only, so the sweep does not open the mutating-batch window for it (the
+// read-bypass fallback relies on this: a delegated read serializes with
+// mutations but must not invalidate concurrent bypass readers).
+//
+// A typed op (Kern != nil) travels as plain words — Kind (KVGet..KVDelete),
+// Key and Val — instead of a closure, so the sweep groups adjacent typed ops
+// on the same kernel into one interleaved ExecBatch call and the result
+// comes back through the future's typed fields without boxing. Its read flag
+// is Kind == KVGet; Read is ignored.
+//
+// Log, when non-nil on a non-read op and the buffer has a WAL sink, is the
+// op's logical record encoder: the worker runs it right after the op, in the
+// same sweep, and completes the future only after the pass group-commits —
+// success implies durable. Without a sink Log is ignored.
+type Op struct {
+	Task     Task
+	Kern     BatchKernel
+	Kind     uint8
+	Key, Val uint64
+	Read     bool
+	Log      func(dst []byte) []byte
 }
 
 // posted reports whether the slot currently holds an unclaimed task.
@@ -370,41 +384,17 @@ func (s *Slot) claim() (uint64, bool) {
 	return w, w&futStateMask == futPending
 }
 
-// post publishes a task into the slot. The client must own the slot and the
-// slot must be free. f is either a fresh detached future (Delegate) or the
-// slot's own recycled fut0 with its generation already begun (InvokeErr).
-// enc, when non-nil, is the task's logical WAL record encoder: the sweep
-// stages its output and defers the future's completion to the group commit.
-func (s *Slot) post(t Task, f *Future, ro bool, enc func(dst []byte) []byte) {
-	s.task, s.kern = t, nil // opaque post: the sweep must not route it through a kernel
-	s.publish(f, ro, enc)
-}
-
-// postKV publishes a typed KV operation into the slot: kern is the target
-// structure's batch kernel, kind/key/val the operation. A KVGet posts as
-// read-only (it must not open the mutating-batch window, like
-// InvokeReadErr); with a non-nil kvenc the prebuilt encKV record encoder
-// rides along so the sweep stages and group-commits a mutation exactly
-// like a logged closure task.
-func (s *Slot) postKV(kern BatchKernel, kind uint8, key, val uint64, f *Future, kvenc KVEncoder) {
-	s.task, s.kern = nil, kern
-	s.kind, s.key, s.val, s.kvenc = kind, key, val, kvenc
-	var enc func(dst []byte) []byte
-	if kvenc != nil {
-		enc = s.encKV
-	}
-	s.publish(f, kind == KVGet, enc)
-}
-
-// publish completes a post: it stores the shared op fields and flips the
-// slot to posted. The sealed check after the posted store closes the
-// stop/post race: both sides use sequentially consistent atomics, so
-// either the worker's final sweep observes the posted slot, or this client
-// observes the seal and rescues its own task with ErrWorkerStopped — a
-// post can never dangle.
-func (s *Slot) publish(f *Future, ro bool, enc func(dst []byte) []byte) {
-	s.fut, s.ro, s.enc = f, ro, enc
-	s.state.Store(s.state.Load() + 1) // release: publishes the op fields to the worker
+// post publishes op into the slot. The client must own the slot and the
+// slot must be free; op's read flag is already resolved (Client.classify).
+// f is either a fresh detached future (Delegate) or the slot's own recycled
+// fut0 with its generation already begun (Post). The sealed check after the
+// posted store closes the stop/post race: both sides use sequentially
+// consistent atomics, so either the worker's final sweep observes the posted
+// slot, or this client observes the seal and rescues its own op with
+// ErrWorkerStopped — a post can never dangle.
+func (s *Slot) post(op Op, f *Future) {
+	s.op, s.fut = op, f
+	s.state.Store(s.state.Load() + 1) // release: publishes the op to the worker
 	if s.buf.sealed.Load() {
 		s.buf.rescue(s)
 	}
@@ -514,14 +504,8 @@ func NewBuffer(worker, n int) (*Buffer, error) {
 	}
 	b := &Buffer{worker: worker, slots: make([]Slot, n)}
 	for i := range b.slots {
-		s := &b.slots[i]
-		s.owner = -1
-		s.buf = b
-		// One closure per slot, for the buffer's lifetime: adapts a typed
-		// post's stateless KVEncoder to the WALSink.StageRecord shape by
-		// reading the slot's op words at encode time (stable until the
-		// future is answered, which is after the commit that consumes them).
-		s.encKV = func(dst []byte) []byte { return s.kvenc(dst, s.kind, s.key, s.val) }
+		b.slots[i].owner = -1
+		b.slots[i].buf = b
 	}
 	return b, nil
 }
@@ -615,13 +599,6 @@ const (
 type BatchKernel interface {
 	ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool)
 }
-
-// KVEncoder encodes the logical WAL record of one typed KV mutation into
-// dst. It must be stateless with respect to the call site — the sweep
-// invokes it through a per-slot prebuilt closure that reads the slot's
-// kind/key/val fields, which stay stable from post until the future is
-// answered (the owning client never reposts before observing completion).
-type KVEncoder func(dst []byte, kind uint8, key, val uint64) []byte
 
 // Sealed reports whether the buffer has been sealed.
 func (b *Buffer) Sealed() bool { return b.sealed.Load() }
@@ -850,15 +827,15 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 	mutating := false
 	for done < nc {
 		s := sc.slot[done]
-		kern := s.kern
+		kern := s.op.Kern
 		j := done + 1
 		if kern != nil {
-			for j < nc && sc.slot[j].kern == kern {
+			for j < nc && sc.slot[j].op.Kern == kern {
 				j++
 			}
 		}
 		for g := done; g < j; g++ {
-			if !mutating && !sc.slot[g].ro {
+			if !mutating && !sc.slot[g].op.Read {
 				// First run holding a non-read op: open the mutating window
 				// before it executes so a concurrent bypass reader cannot
 				// validate over its effects.
@@ -877,8 +854,8 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 		}
 		var err error
 		if kern == nil {
-			res := runTask(s.task, hook, b.worker)
-			s.task = nil
+			res := runTask(s.op.Task, hook, b.worker)
+			s.op.Task = nil
 			if pe, ok := res.(PanicError); ok {
 				err = pe
 			} else {
@@ -886,8 +863,8 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 			}
 		} else {
 			for g := done; g < j; g++ {
-				sg := sc.slot[g]
-				sc.kind[g], sc.key[g], sc.val[g] = sg.kind, sg.key, sg.val
+				op := &sc.slot[g].op
+				sc.kind[g], sc.key[g], sc.val[g] = op.Kind, op.Key, op.Val
 				sc.outV[g], sc.outOK[g] = 0, false
 			}
 			err = b.runKernel(kern, sc, done, j, hook)
@@ -909,10 +886,8 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 			switch {
 			case err != nil:
 				b.failFuture(f, w, err)
-			case logging && sg.enc != nil && !sg.ro:
-				// A typed slot's encoder (its prebuilt encKV) reads the
-				// slot's op words, stable until the future is answered.
-				b.wal.StageRecord(sg.enc)
+			case logging && sg.op.Log != nil && !sg.op.Read:
+				b.wal.StageRecord(sg.op.Log)
 				sc.stash[ns] = walStash{f: f, w: w}
 				ns++
 			default:
@@ -1012,7 +987,7 @@ func (b *Buffer) FailPending(err error) int {
 	for i := range b.slots {
 		s := &b.slots[i]
 		if w, ok := s.claim(); ok {
-			s.task = nil
+			s.op.Task = nil
 			if b.failFuture(s.fut, w, err) {
 				n++
 			}
@@ -1029,7 +1004,7 @@ func (b *Buffer) rescue(s *Slot) {
 	b.sealMu.Lock()
 	defer b.sealMu.Unlock()
 	if w, ok := s.claim(); ok {
-		s.task = nil
+		s.op.Task = nil
 		if b.failFuture(s.fut, w, ErrWorkerStopped) {
 			b.Rescued.Add(1)
 		}
@@ -1182,10 +1157,8 @@ func NewClient(slots []*Slot) (*Client, error) {
 // threaded by contract, so the shard shares its owner's serial execution.
 func (c *Client) SetProbe(p *obs.ClientShard) { c.probe = p }
 
-// Burst returns the client's maximum number of outstanding tasks.
-func (c *Client) Burst() int { return len(c.slots) }
-
-// Outstanding returns the number of tasks currently in flight.
+// Outstanding returns the number of Delegate-tracked tasks in flight; ops
+// posted through Reserve/Post are tracked by their handles instead.
 func (c *Client) Outstanding() int { return c.n }
 
 // harvestOldest retires the oldest outstanding delegation: waits for its
@@ -1206,21 +1179,8 @@ func (c *Client) harvestOldest() *Future {
 	return f
 }
 
-// takeSlot pops a free slot index, first retiring the oldest outstanding
-// task when the burst window is full — the throughput-maximising delegation
-// mode of Section 6. When every non-free slot is held by a reserved handle
-// (Reserve) rather than a ring-tracked delegation there is nothing this
-// client can harvest; the caller must Await its handles first.
-func (c *Client) takeSlot() int32 {
-	i, ok := c.Reserve()
-	if !ok {
-		panic("delegation: no free slots and none outstanding; await reserved handles first")
-	}
-	return i
-}
-
-// InvokeHandle identifies one in-flight reserved-slot invocation: the slot
-// whose embedded future carries the result and the generation token to await.
+// InvokeHandle identifies one in-flight reserved-slot post: the slot whose
+// embedded future carries the result and the generation token to await.
 // It is a value, not a pointer — pipelined callers keep handles in their own
 // storage, so the burst path stays allocation-free.
 type InvokeHandle struct {
@@ -1228,11 +1188,11 @@ type InvokeHandle struct {
 	tok  uint64
 }
 
-// Reserve pops a free slot for a pipelined zero-allocation invocation
-// (PostReserved/Await). When no slot is free it retires the oldest
-// ring-tracked delegation like takeSlot; when every slot is held by an
-// un-awaited handle it reports false — the caller owns those handles and
-// must Await one to free a slot.
+// Reserve pops a free slot for a zero-allocation Post. When no slot is free
+// it retires the oldest Delegate-tracked task — the throughput-maximising
+// bursting mode of Section 6; when every slot is held by an un-awaited
+// handle it reports false — the caller owns those handles and must Await
+// one to free a slot.
 func (c *Client) Reserve() (int32, bool) {
 	for len(c.free) == 0 {
 		if c.n == 0 {
@@ -1249,127 +1209,86 @@ func (c *Client) Reserve() (int32, bool) {
 	return i, true
 }
 
-// PostReserved posts a task into a slot obtained from Reserve without
-// waiting, returning the handle to Await later. Like InvokeErr it runs on
-// the zero-allocation path — the slot's embedded future is recycled for this
-// generation and never escapes — but the round trip is split so a client can
-// keep several statements in flight and synchronise once per dependency
-// barrier instead of once per statement.
-func (c *Client) PostReserved(i int32, task Task) InvokeHandle {
-	return c.postReserved(i, task, nil)
+// classify resolves op's read flag — a typed op reads exactly when it is a
+// KVGet — and counts a read for the signal sampler's write fraction; the
+// read/write split is known here and nowhere cheaper.
+func (c *Client) classify(op Op) Op {
+	if op.Kern != nil {
+		op.Read = op.Kind == KVGet
+	}
+	if op.Read && c.probe != nil {
+		c.probe.CountRead()
+	}
+	return op
 }
 
-// PostReservedLogged is PostReserved for a mutating task with a logical WAL
-// record encoder: the worker stages enc's output into its log and completes
-// the handle's future only after the sweep batch group-commits. On a
-// runtime without a WAL sink the encoder is ignored and the task behaves
-// exactly like PostReserved.
-func (c *Client) PostReservedLogged(i int32, task Task, enc func(dst []byte) []byte) InvokeHandle {
-	return c.postReserved(i, task, enc)
-}
-
-func (c *Client) postReserved(i int32, task Task, enc func(dst []byte) []byte) InvokeHandle {
-	s, tok := c.recycle(i, false)
-	s.post(task, &s.fut0, false, enc)
+// Post posts op into slot i, obtained from Reserve, without waiting and
+// returns the handle to Await (closure op) or AwaitKV (typed op) later. The
+// slot's embedded future is recycled for this generation and never
+// escapes, so the round trip allocates nothing, and a client can keep
+// several ops in flight and synchronise once per dependency barrier. The
+// probe hands out a recycled span (PostRecycled): the embedded future
+// resolves its span exactly once per generation.
+func (c *Client) Post(i int32, op Op) InvokeHandle {
+	s := c.slots[i]
+	tok := s.fut0.begin()
+	op = c.classify(op)
+	if c.probe != nil {
+		s.fut0.span = c.probe.PostRecycled()
+	}
+	s.post(op, &s.fut0)
 	return InvokeHandle{slot: i, tok: tok}
 }
 
-// recycle begins the next generation of slot i's embedded future and
-// returns the slot and the generation's token. The probe hands out a
-// recycled span (PostRecycled, not Post): the embedded future resolves its
-// span exactly once per generation, so no allocation is needed. Detached
-// Delegate futures keep the allocating Post — their holders may Wait (and
-// Resolve) long after the span would recycle. countRead counts a read post
-// for the signal sampler's write fraction; the read/write split is known
-// here and nowhere cheaper.
-func (c *Client) recycle(i int32, countRead bool) (*Slot, uint64) {
-	s := c.slots[i]
-	tok := s.fut0.begin()
-	if c.probe != nil {
-		if countRead {
-			c.probe.CountRead()
-		}
-		s.fut0.span = c.probe.PostRecycled()
-	}
-	return s, tok
-}
-
-// Await blocks until the handle's invocation completes, frees its slot, and
-// returns the result. Each handle must be awaited exactly once; handles may
-// be awaited in any order (each lives in its own slot's embedded future).
+// Await blocks until the handle's closure op completes, frees its slot, and
+// returns the result: the value, or the typed error — PanicError when the
+// task panicked, ErrWorkerStopped when the buffer was sealed before it ran.
+// Each handle must be awaited exactly once; handles may be awaited in any
+// order (each lives in its own slot's embedded future).
 func (c *Client) Await(h InvokeHandle) (any, error) {
 	v, err := c.slots[h.slot].fut0.awaitToken(h.tok)
 	c.free = append(c.free, h.slot)
 	return v, err
 }
 
-// PostReservedKV posts a typed key/value op into a slot obtained from
-// Reserve without waiting, returning the handle to AwaitKV later. The op
-// carries no closure: the worker's sweep groups adjacent typed ops on the
-// same kernel into one ExecBatch call, overlapping their traversal cache
-// misses. A lone op runs as a group of one — semantics are identical either
-// way, only the execution schedule changes.
-func (c *Client) PostReservedKV(i int32, kern BatchKernel, kind uint8, key, val uint64) InvokeHandle {
-	return c.postReservedKV(i, kern, kind, key, val, nil)
-}
-
-// PostReservedKVLogged is PostReservedKV for a logged mutation: kvenc
-// encodes the op's logical WAL record on the worker and the handle's future
-// completes only after the sweep batch group-commits.
-func (c *Client) PostReservedKVLogged(i int32, kern BatchKernel, kind uint8, key, val uint64, kvenc KVEncoder) InvokeHandle {
-	return c.postReservedKV(i, kern, kind, key, val, kvenc)
-}
-
-func (c *Client) postReservedKV(i int32, kern BatchKernel, kind uint8, key, val uint64, kvenc KVEncoder) InvokeHandle {
-	s, tok := c.recycle(i, false)
-	s.postKV(kern, kind, key, val, &s.fut0, kvenc)
-	return InvokeHandle{slot: i, tok: tok}
-}
-
-// AwaitKV blocks until a typed handle's op completes, frees its slot, and
-// returns the kernel's value/found pair. Each handle must be awaited
-// exactly once, with the await flavour matching the post flavour.
+// AwaitKV is Await for a typed op: it returns the kernel's value/found pair.
 func (c *Client) AwaitKV(h InvokeHandle) (uint64, bool, error) {
 	v, ok, err := c.slots[h.slot].fut0.awaitTokenKV(h.tok)
 	c.free = append(c.free, h.slot)
 	return v, ok, err
 }
 
-// HandleDone reports, without blocking or freeing the slot, whether the
-// handle's invocation has completed. Valid only between PostReserved and
-// Await — the embedded future's word equals the handle's token exactly while
-// that generation is pending.
-func (c *Client) HandleDone(h InvokeHandle) bool {
+// Done reports, without blocking or freeing the slot, whether the handle's
+// op has completed. Valid only between Post and Await — the embedded
+// future's word equals the handle's token exactly while that generation is
+// pending.
+func (c *Client) Done(h InvokeHandle) bool {
 	return c.slots[h.slot].fut0.word.Load() != h.tok
 }
 
 // FreeSlots returns how many of the client's slots are currently free
-// (neither ring-tracked outstanding nor held by a reserved handle).
+// (neither Delegate-tracked nor held by a reserved handle).
 func (c *Client) FreeSlots() int { return len(c.free) }
 
-// Delegate posts task into a free owned slot and returns its future. When
-// the burst is completely filled it first waits for the oldest outstanding
-// task. The returned future is detached (heap-allocated, generation 0): the
-// caller may hold it for as long as it likes, independent of slot reuse.
-func (c *Client) Delegate(task Task) *Future { return c.delegate(task, nil) }
-
-// DelegateLogged is Delegate for a logged mutation: enc encodes the task's
-// WAL record on the worker after the task runs, and the future completes
-// only after the record's group commit — success implies durable.
-func (c *Client) DelegateLogged(task Task, enc func(dst []byte) []byte) *Future {
-	return c.delegate(task, enc)
-}
-
-func (c *Client) delegate(task Task, enc func(dst []byte) []byte) *Future {
-	i := c.takeSlot()
+// Delegate posts op into a free owned slot and returns its future, first
+// retiring the oldest outstanding task when the burst is full. The future is
+// detached (heap-allocated, generation 0): the caller may hold it for as
+// long as it likes, independent of slot reuse. It panics when every slot is
+// held by an un-awaited reserved handle; Await one first.
+func (c *Client) Delegate(op Op) *Future {
+	i, ok := c.Reserve()
+	if !ok {
+		panic("delegation: no free slots and none outstanding; await reserved handles first")
+	}
 	f := &Future{}
+	op = c.classify(op)
 	if c.probe != nil {
 		// Post counts the delegation and, on sampled posts, mints the
 		// lifecycle span; the slot's release store publishes it (via the
-		// future) to the worker alongside the task.
+		// future) to the worker alongside the op.
 		f.span = c.probe.Post()
 	}
-	c.slots[i].post(task, f, false, enc)
+	c.slots[i].post(op, f)
 	tail := c.head + c.n
 	if tail >= len(c.ring) {
 		tail -= len(c.ring)
@@ -1379,106 +1298,11 @@ func (c *Client) delegate(task Task, enc func(dst []byte) []byte) *Future {
 	return f
 }
 
-// Invoke delegates a task and synchronously waits for its result — the
-// simple delegation mode (burst size 1 semantics regardless of owned slots).
-// An error completion comes back as the value; InvokeErr separates it.
-//
-// Invoke runs on the zero-allocation path: it recycles the slot's embedded
-// future instead of allocating one.
-func (c *Client) Invoke(task Task) any {
-	v, err := c.InvokeErr(task)
-	if err != nil {
-		return err
-	}
-	return v
-}
-
-// InvokeErr delegates a task, waits, and returns the value and the typed
-// error separately: PanicError when the task panicked, ErrWorkerStopped
-// when the buffer was sealed before the task ran.
-//
-// This is the steady-state zero-allocation round trip: the task is posted
-// through the slot's embedded future, whose generation word is bumped for
-// this invocation and CAS-completed by exactly one of worker sweep, seal
-// rescue, or crash fail-over. The future never escapes, so the slot can be
-// recycled the moment the result is observed.
-func (c *Client) InvokeErr(task Task) (any, error) { return c.invokeErr(task, false, nil) }
-
-// InvokeLoggedErr is InvokeErr for a mutating task with a logical WAL
-// record encoder: the worker stages enc's output into its log during the
-// sweep and completes the future only after the batch group-commits, so a
-// successful return implies the record is durable. On a runtime without a
-// WAL sink the encoder is ignored and the call behaves exactly like
-// InvokeErr. The encoder runs on the worker goroutine, serialised with the
-// task itself — it may read the structure state the task just wrote.
-func (c *Client) InvokeLoggedErr(task Task, enc func(dst []byte) []byte) (any, error) {
-	return c.invokeErr(task, false, enc)
-}
-
-// InvokeReadErr is InvokeErr for a task the caller guarantees is read-only:
-// the slot is posted with the read flag, so the worker's sweep does not open
-// a mutating-batch window for it. The read-bypass fallback path uses it — a
-// delegated read serializes with mutations exactly like any other task, it
-// just must not spuriously invalidate concurrent bypass readers.
-func (c *Client) InvokeReadErr(task Task) (any, error) { return c.invokeErr(task, true, nil) }
-
-// InvokeKVErr delegates a typed key/value op synchronously: the op's kind,
-// key and value travel in the slot itself (no closure, no boxing) and the
-// worker executes it through kern, batched with any neighbouring typed ops
-// on the same kernel in its pass. Returns the
-// kernel's value/found pair. Zero-allocation like InvokeErr.
-func (c *Client) InvokeKVErr(kern BatchKernel, kind uint8, key, val uint64) (uint64, bool, error) {
-	i := c.takeSlot()
-	s, tok := c.recycle(i, kind == KVGet)
-	s.postKV(kern, kind, key, val, &s.fut0, nil)
-	return c.AwaitKV(InvokeHandle{slot: i, tok: tok})
-}
-
-func (c *Client) invokeErr(task Task, ro bool, enc func(dst []byte) []byte) (any, error) {
-	i := c.takeSlot()
-	s, tok := c.recycle(i, ro)
-	s.post(task, &s.fut0, ro, enc)
-	return c.Await(InvokeHandle{slot: i, tok: tok})
-}
-
-// DelegateBulkErr posts tasks as one bulk burst under a single
-// synchronisation phase (the bulk-bursting mode): all tasks are delegated,
-// then all futures awaited. Results hold each task's value in order (nil
-// where a task failed) and the returned error is the first typed error
-// among them.
-func (c *Client) DelegateBulkErr(tasks []Task) ([]any, error) {
-	futs := make([]*Future, len(tasks))
-	for i, t := range tasks {
-		futs[i] = c.Delegate(t)
-	}
-	out := make([]any, len(tasks))
-	var firstErr error
-	for i, f := range futs {
-		v, err := f.Result()
-		out[i] = v
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return out, firstErr
-}
-
-// Drain waits for every outstanding task to finish and frees the pending
-// window. Call before releasing slots.
-func (c *Client) Drain() {
-	for c.n > 0 {
-		f := c.harvestOldest()
-		f.observeResolved()
-	}
-	if c.probe != nil {
-		c.probe.Flush()
-	}
-}
-
-// DrainErr drains like Drain and returns the first typed error among the
-// outstanding tasks, so a caller shutting down can tell "all work done"
-// from "work abandoned by a stopped or crashed worker".
-func (c *Client) DrainErr() error {
+// Drain waits for every Delegate-tracked task to finish, frees the pending
+// window, and returns the first typed error among them, so a caller shutting
+// down can tell "all work done" from "work abandoned by a stopped or crashed
+// worker". Call before releasing slots.
+func (c *Client) Drain() error {
 	var firstErr error
 	for c.n > 0 {
 		f := c.harvestOldest()

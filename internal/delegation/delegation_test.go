@@ -3,6 +3,7 @@ package delegation
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -22,6 +23,16 @@ func startWorkers(bufs []*Buffer) (stop func()) {
 		close(stopCh)
 		wg.Wait()
 	}
+}
+
+// invoke is the synchronous round trip over the reserved-slot API: reserve,
+// post, await.
+func invoke(c *Client, op Op) (any, error) {
+	i, ok := c.Reserve()
+	if !ok {
+		panic("no free slot")
+	}
+	return c.Await(c.Post(i, op))
 }
 
 func newInboxT(t *testing.T, workers, slotsPer int) *Inbox {
@@ -53,26 +64,49 @@ func TestBufferValidation(t *testing.T) {
 	}
 }
 
+// TestSynchronousInvoke runs every op shape through a live worker's sweep:
+// each completes exactly once with its value, and the logged closure's
+// record is staged.
 func TestSynchronousInvoke(t *testing.T) {
-	in := newInboxT(t, 1, 4)
-	stop := startWorkers(in.Buffers())
-	defer stop()
+	for _, sh := range opShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			in := newInboxT(t, 1, 4)
+			w := &lockedWAL{}
+			in.Buffers()[0].SetWAL(w)
+			stop := startWorkers(in.Buffers())
 
-	slots, err := in.AcquireSlots(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClient(slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := c.Invoke(func() any { return 41 + 1 })
-	if got != 42 {
-		t.Errorf("Invoke = %v, want 42", got)
-	}
-	c.Drain()
-	if err := in.ReleaseSlots(c.Slots()); err != nil {
-		t.Fatal(err)
+			slots, err := in.AcquireSlots(1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewClient(slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := newShapeKernel()
+			var ran atomic.Int32
+			op := sh.build(k, &ran, false)
+			if v, err := invokeShape(t, c, sh, op); err != nil || v != sh.want {
+				t.Errorf("%s = %v, %v, want %v", sh.name, v, err, sh.want)
+			}
+			stop()
+			if n := sh.executions(k, &ran); n != 1 {
+				t.Errorf("%s executed %d times, want 1", sh.name, n)
+			}
+			staged := 0
+			if op.Log != nil {
+				staged = 1
+			}
+			if w.staged != staged {
+				t.Errorf("%s staged %d records, want %d", sh.name, w.staged, staged)
+			}
+			if err := c.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if err := in.ReleaseSlots(c.Slots()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -106,13 +140,13 @@ func TestBurstDelegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(slots)
-	if c.Burst() != 14 {
-		t.Fatalf("Burst = %d", c.Burst())
+	if len(c.Slots()) != 14 {
+		t.Fatalf("burst = %d", len(c.Slots()))
 	}
 	var futs []*Future
 	for i := 0; i < 1000; i++ {
 		i := i
-		futs = append(futs, c.Delegate(func() any { return i * 2 }))
+		futs = append(futs, c.Delegate(Op{Task: func() any { return i * 2 }}))
 		if c.Outstanding() > 14 {
 			t.Fatalf("outstanding %d exceeds burst", c.Outstanding())
 		}
@@ -138,21 +172,16 @@ func TestDelegateBulk(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(slots)
-	var tasks []Task
+	// Bulk bursting: delegate everything under one synchronisation phase,
+	// then await every future.
+	var futs []*Future
 	for i := 0; i < 50; i++ {
 		i := i
-		tasks = append(tasks, func() any { return i })
+		futs = append(futs, c.Delegate(Op{Task: func() any { return i }}))
 	}
-	out, err := c.DelegateBulkErr(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 50 {
-		t.Fatalf("bulk returned %d results", len(out))
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("bulk[%d] = %v", i, v)
+	for i, f := range futs {
+		if v, err := f.Result(); err != nil || v != i {
+			t.Fatalf("bulk[%d] = %v, %v", i, v, err)
 		}
 	}
 }
@@ -175,8 +204,12 @@ func TestManyClientsOneWorker(t *testing.T) {
 			c, _ := NewClient(slots)
 			sum := 0
 			for i := 0; i < 500; i++ {
-				v := c.Invoke(func() any { return 1 }).(int)
-				sum += v
+				v, err := invoke(c, Op{Task: func() any { return 1 }})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sum += v.(int)
 			}
 			mu.Lock()
 			total += int64(sum)
@@ -201,7 +234,7 @@ func TestResponseBatchingObserved(t *testing.T) {
 	slots, _ := in.AcquireSlots(8, nil)
 	c, _ := NewClient(slots)
 	for i := 0; i < 8; i++ {
-		c.Delegate(func() any { return nil })
+		c.Delegate(Op{Task: func() any { return nil }})
 	}
 	if n := b.Sweep(); n != 8 {
 		t.Errorf("sweep answered %d, want 8", n)
@@ -285,7 +318,7 @@ func TestReleaseInFlightRejected(t *testing.T) {
 	in, _ := NewInbox([]*Buffer{b})
 	slots, _ := in.AcquireSlots(1, nil)
 	c, _ := NewClient(slots)
-	c.Delegate(func() any { return nil }) // never swept: no worker running
+	c.Delegate(Op{Task: func() any { return nil }}) // never swept: no worker running
 	if err := in.ReleaseSlots(slots); err == nil {
 		t.Error("release of in-flight slot accepted")
 	}
@@ -307,7 +340,7 @@ func TestWorkerStopAnswersLateTask(t *testing.T) {
 		NewWorker(in.Buffers()[0]).Run(stopCh)
 		close(done)
 	}()
-	f := c.Delegate(func() any { return "late" })
+	f := c.Delegate(Op{Task: func() any { return "late" }})
 	close(stopCh)
 	<-done
 	// The final sweep in Run must have answered the task (or the regular
@@ -334,7 +367,7 @@ func TestStatsCounters(t *testing.T) {
 	in, _ := NewInbox([]*Buffer{b})
 	slots, _ := in.AcquireSlots(1, nil)
 	c, _ := NewClient(slots)
-	c.Delegate(func() any { return nil })
+	c.Delegate(Op{Task: func() any { return nil }})
 	b.Sweep()
 	b.SyncStats()
 	if b.Executed.Load() != 1 {
@@ -346,6 +379,9 @@ func TestStatsCounters(t *testing.T) {
 	c.Drain()
 }
 
+// TestPanickingTaskDoesNotKillWorker panics a detached delegation and then
+// every op shape in turn: each completes exactly once with a PanicError, and
+// the worker keeps serving.
 func TestPanickingTaskDoesNotKillWorker(t *testing.T) {
 	in := newInboxT(t, 1, 4)
 	stop := startWorkers(in.Buffers())
@@ -355,7 +391,7 @@ func TestPanickingTaskDoesNotKillWorker(t *testing.T) {
 	c, _ := NewClient(slots)
 	defer c.Drain()
 
-	f := c.Delegate(func() any { panic("boom") })
+	f := c.Delegate(Op{Task: func() any { panic("boom") }})
 	res := f.Wait()
 	perr, ok := res.(PanicError)
 	if !ok {
@@ -368,7 +404,28 @@ func TestPanickingTaskDoesNotKillWorker(t *testing.T) {
 		t.Error("empty error string")
 	}
 	// The worker must still serve subsequent tasks.
-	if got := c.Invoke(func() any { return "alive" }); got != "alive" {
-		t.Errorf("worker dead after panic: %v", got)
+	if got, err := invoke(c, Op{Task: func() any { return "alive" }}); err != nil || got != "alive" {
+		t.Errorf("worker dead after panic: %v, %v", got, err)
+	}
+
+	b := in.Buffers()[0]
+	for _, sh := range opShapes {
+		k := newShapeKernel()
+		var ran atomic.Int32
+		failed := b.Failed.Load()
+		_, err := invokeShape(t, c, sh, sh.build(k, &ran, true))
+		var pe PanicError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want PanicError", sh.name, err)
+		}
+		if n := sh.executions(k, &ran); n != 1 {
+			t.Errorf("%s executed %d times, want 1", sh.name, n)
+		}
+		if got := b.Failed.Load() - failed; got != 1 {
+			t.Errorf("%s failed %d futures, want 1", sh.name, got)
+		}
+		if got, err := invoke(c, Op{Task: func() any { return "alive" }}); err != nil || got != "alive" {
+			t.Errorf("worker dead after %s panic: %v, %v", sh.name, got, err)
+		}
 	}
 }

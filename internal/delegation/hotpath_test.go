@@ -8,25 +8,25 @@ import (
 	"testing"
 )
 
-// TestInvokeErrZeroAlloc pins the tentpole property: the synchronous
-// round trip through the slot-embedded recycled future allocates nothing in
-// steady state.
-func TestInvokeErrZeroAlloc(t *testing.T) {
+// TestPostAwaitZeroAlloc pins the tentpole property: the synchronous
+// round trip (Reserve, Post, Await) through the slot-embedded recycled
+// future allocates nothing in steady state.
+func TestPostAwaitZeroAlloc(t *testing.T) {
 	in := newInboxT(t, 1, 4)
 	stop := startWorkers(in.Buffers())
 	defer stop()
 
 	slots, _ := in.AcquireSlots(1, nil)
 	c, _ := NewClient(slots)
-	task := Task(func() any { return nil })
-	c.InvokeErr(task) // warm up: first post touches cold paths
+	op := Op{Task: func() any { return nil }}
+	invoke(c, op) // warm up: first post touches cold paths
 
 	if n := testing.AllocsPerRun(2000, func() {
-		if _, err := c.InvokeErr(task); err != nil {
+		if _, err := invoke(c, op); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("InvokeErr allocates %.1f objects/op, want 0", n)
+		t.Errorf("the synchronous round trip allocates %.1f objects/op, want 0", n)
 	}
 }
 
@@ -47,13 +47,13 @@ func TestDelegateCyclingDoesNotGrow(t *testing.T) {
 	c, _ := NewClient(slots)
 	task := Task(func() any { return nil })
 	for i := 0; i < 100; i++ { // cycle the window a few times before measuring
-		c.Delegate(task)
+		c.Delegate(Op{Task: task})
 	}
 	c.Drain()
 
 	const ops = 1_000_000
 	if n := testing.AllocsPerRun(ops, func() {
-		c.Delegate(task)
+		c.Delegate(Op{Task: task})
 	}); n > 1 {
 		t.Errorf("Delegate allocates %.2f objects/op over %d ops, want ≤1 (no bookkeeping growth)", n, ops)
 	}
@@ -147,7 +147,7 @@ func TestGenerationStressChaos(t *testing.T) {
 			for phase := 0; phase < 3; phase++ {
 				for i := 0; i < perGen; i++ {
 					want := ci*1_000_000 + phase*1_000 + i
-					v, err := c.InvokeErr(func() any { return want })
+					v, err := invoke(c, Op{Task: func() any { return want }})
 					invocations++
 					switch {
 					case err == nil:

@@ -3,10 +3,117 @@ package delegation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// opShape is one kind of op descriptor. The lifecycle tests run every shape
+// through the same checks — live sweep, seal rescue, panicking op — so each
+// contract is pinned once per shape rather than once per entry point.
+type opShape struct {
+	name  string
+	typed bool
+	want  string // the op's result as invokeShape formats it
+	// build returns the shape's op against kernel k; ran counts closure
+	// executions (the kernel counts typed ones) and boom makes the op panic.
+	build func(k *mapKernel, ran *atomic.Int32, boom bool) Op
+}
+
+// Shape kernels hold key 1 → 10; the typed insert targets the absent key 2.
+const shapeGetKey, shapeInsertKey = 1, 2
+
+func newShapeKernel() *mapKernel {
+	k := newMapKernel()
+	k.m[shapeGetKey] = 10
+	return k
+}
+
+// shapeTask is the closure shapes' task: it counts its run, then returns
+// "v" or panics.
+func shapeTask(ran *atomic.Int32, boom bool) Task {
+	return func() any {
+		ran.Add(1)
+		if boom {
+			panic("boom")
+		}
+		return "v"
+	}
+}
+
+// typedShape builds a typed op on key, arming the kernel to panic on it.
+func typedShape(kind uint8, key uint64) func(*mapKernel, *atomic.Int32, bool) Op {
+	return func(k *mapKernel, _ *atomic.Int32, boom bool) Op {
+		if boom {
+			k.panicKey = key
+		}
+		return Op{Kern: k, Kind: kind, Key: key, Val: 20}
+	}
+}
+
+var opShapes = []opShape{
+	{"closure", false, "v", func(_ *mapKernel, ran *atomic.Int32, boom bool) Op {
+		return Op{Task: shapeTask(ran, boom)}
+	}},
+	{"read-closure", false, "v", func(_ *mapKernel, ran *atomic.Int32, boom bool) Op {
+		return Op{Task: shapeTask(ran, boom), Read: true}
+	}},
+	{"logged-closure", false, "v", func(_ *mapKernel, ran *atomic.Int32, boom bool) Op {
+		return Op{Task: shapeTask(ran, boom), Log: func(dst []byte) []byte { return append(dst, 'L') }}
+	}},
+	{"typed-get", true, "10 true", typedShape(KVGet, shapeGetKey)},
+	{"typed-insert", true, "0 true", typedShape(KVInsert, shapeInsertKey)},
+}
+
+// executions counts how many times the shape's op ran: closure runs, or
+// ops the kernel received.
+func (sh opShape) executions(k *mapKernel, ran *atomic.Int32) int {
+	if !sh.typed {
+		return int(ran.Load())
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	n := 0
+	for _, g := range k.groups {
+		n += g
+	}
+	return n
+}
+
+// invokeShape posts op into a reserved slot, awaits it the way its shape
+// requires, and checks the slot's embedded future completed exactly once:
+// its generation advanced by one and left the pending state. The result is
+// formatted as a string (a typed op's "value found").
+func invokeShape(t *testing.T, c *Client, sh opShape, op Op) (string, error) {
+	t.Helper()
+	i, ok := c.Reserve()
+	if !ok {
+		t.Fatal("no free slot")
+	}
+	f := &c.slots[i].fut0
+	gen := f.word.Load() >> futGenShift
+	h := c.Post(i, op)
+	var v any
+	var err error
+	if sh.typed {
+		var val uint64
+		var found bool
+		val, found, err = c.AwaitKV(h)
+		v = fmt.Sprint(val, found)
+	} else {
+		v, err = c.Await(h)
+	}
+	w := f.word.Load()
+	if got := w>>futGenShift - gen; got != 1 || w&futStateMask == futPending {
+		t.Errorf("%s: future advanced %d generations, state %d; want one completed generation", sh.name, got, w&futStateMask)
+	}
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprint(v), nil
+}
 
 // TestPostAfterStopResolves is the stop/post race regression test. Before
 // buffers learned to seal, a task posted after the worker's final sweep was
@@ -26,7 +133,7 @@ func TestPostAfterStopResolves(t *testing.T) {
 	close(stopCh)
 	<-done // worker exited: buffer sealed, nobody will ever sweep again
 
-	f := c.Delegate(func() any { t.Error("task executed after stop"); return nil })
+	f := c.Delegate(Op{Task: func() any { t.Error("task executed after stop"); return nil }})
 	v, err := f.WaitTimeout(2 * time.Second)
 	if errors.Is(err, ErrWaitTimeout) {
 		t.Fatal("post-stop future hung (the pre-seal stop/post race)")
@@ -40,6 +147,26 @@ func TestPostAfterStopResolves(t *testing.T) {
 	// The slot is free again and releasable.
 	if err := in.ReleaseSlots(c.Slots()); err != nil {
 		t.Errorf("release after rescue: %v", err)
+	}
+
+	// Every op shape posted into the stopped worker's buffer is rescued:
+	// it completes exactly once with ErrWorkerStopped and never runs.
+	b := in.Buffers()[0]
+	slots, _ = in.AcquireSlots(1, nil)
+	c, _ = NewClient(slots)
+	for _, sh := range opShapes {
+		k := newShapeKernel()
+		var ran atomic.Int32
+		rescued := b.Rescued.Load()
+		if _, err := invokeShape(t, c, sh, sh.build(k, &ran, false)); !errors.Is(err, ErrWorkerStopped) {
+			t.Errorf("%s: err = %v, want ErrWorkerStopped", sh.name, err)
+		}
+		if n := sh.executions(k, &ran); n != 0 {
+			t.Errorf("%s executed %d times after stop", sh.name, n)
+		}
+		if got := b.Rescued.Load() - rescued; got != 1 {
+			t.Errorf("%s rescued %d times, want 1", sh.name, got)
+		}
 	}
 }
 
@@ -64,7 +191,7 @@ func TestStopPostRaceHammer(t *testing.T) {
 		go func() {
 			defer close(postDone)
 			for i := 0; i < 20; i++ {
-				futs = append(futs, c.Delegate(func() any { return i }))
+				futs = append(futs, c.Delegate(Op{Task: func() any { return i }}))
 			}
 		}()
 		if round%2 == 0 {
@@ -144,8 +271,8 @@ func TestSealIdempotentAndSweepsPosted(t *testing.T) {
 	in, _ := NewInbox([]*Buffer{b})
 	slots, _ := in.AcquireSlots(3, nil)
 	c, _ := NewClient(slots)
-	f1 := c.Delegate(func() any { return 1 })
-	f2 := c.Delegate(func() any { return 2 })
+	f1 := c.Delegate(Op{Task: func() any { return 1 }})
+	f2 := c.Delegate(Op{Task: func() any { return 2 }})
 	if n := b.Seal(); n != 2 {
 		t.Errorf("seal's final sweep ran %d tasks, want 2", n)
 	}
@@ -168,8 +295,8 @@ func TestFailPending(t *testing.T) {
 	in, _ := NewInbox([]*Buffer{b})
 	slots, _ := in.AcquireSlots(2, nil)
 	c, _ := NewClient(slots)
-	f1 := c.Delegate(func() any { return 1 })
-	f2 := c.Delegate(func() any { return 2 })
+	f1 := c.Delegate(Op{Task: func() any { return 1 }})
+	f2 := c.Delegate(Op{Task: func() any { return 2 }})
 	crash := PanicError{Value: "kill"}
 	if n := b.FailPending(crash); n != 2 {
 		t.Fatalf("FailPending failed %d futures, want 2", n)
@@ -201,41 +328,51 @@ func TestErrVariants(t *testing.T) {
 	slots, _ := in.AcquireSlots(2, nil)
 	c, _ := NewClient(slots)
 
-	if v, err := c.InvokeErr(func() any { return 5 }); err != nil || v != 5 {
-		t.Errorf("InvokeErr = %v, %v", v, err)
+	if v, err := invoke(c, Op{Task: func() any { return 5 }}); err != nil || v != 5 {
+		t.Errorf("invoke = %v, %v", v, err)
 	}
-	if _, err := c.InvokeErr(func() any { panic("p") }); err == nil {
-		t.Error("InvokeErr missed the panic")
+	if _, err := invoke(c, Op{Task: func() any { panic("p") }}); err == nil {
+		t.Error("invoke missed the panic")
 	}
-	out, err := c.DelegateBulkErr([]Task{
-		func() any { return 1 },
-		func() any { panic("bulk") },
-		func() any { return 3 },
-	})
+	// A bulk burst: three delegations, then every future's result.
+	futs := []*Future{
+		c.Delegate(Op{Task: func() any { return 1 }}),
+		c.Delegate(Op{Task: func() any { panic("bulk") }}),
+		c.Delegate(Op{Task: func() any { return 3 }}),
+	}
+	out := make([]any, len(futs))
+	var err error
+	for i, f := range futs {
+		v, ferr := f.Result()
+		out[i] = v
+		if ferr != nil && err == nil {
+			err = ferr
+		}
+	}
 	var pe PanicError
 	if !errors.As(err, &pe) || pe.Value != "bulk" {
-		t.Errorf("DelegateBulkErr err = %v", err)
+		t.Errorf("bulk err = %v", err)
 	}
 	if out[0] != 1 || out[1] != nil || out[2] != 3 {
-		t.Errorf("DelegateBulkErr out = %v", out)
+		t.Errorf("bulk out = %v", out)
 	}
-	// The panicked bulk task is still in the pending window, so DrainErr
+	// The panicked bulk task is still in the pending window, so Drain
 	// reports it again (futures hold their result; draining re-reads it).
 	var dpe PanicError
-	if err := c.DrainErr(); !errors.As(err, &dpe) || dpe.Value != "bulk" {
-		t.Errorf("DrainErr after bulk = %v, want the bulk PanicError", err)
+	if err := c.Drain(); !errors.As(err, &dpe) || dpe.Value != "bulk" {
+		t.Errorf("Drain after bulk = %v, want the bulk PanicError", err)
 	}
 
 	// After the worker stops, a post is rescued before Delegate returns,
-	// so its future already carries the failure, and DrainErr surfaces it
+	// so its future already carries the failure, and Drain surfaces it
 	// again on drain.
 	stop()
-	f := c.Delegate(func() any { return nil })
+	f := c.Delegate(Op{Task: func() any { return nil }})
 	if !errors.Is(f.Err(), ErrWorkerStopped) {
 		t.Errorf("future err = %v", f.Err())
 	}
-	if err := c.DrainErr(); !errors.Is(err, ErrWorkerStopped) {
-		t.Errorf("DrainErr after stop = %v", err)
+	if err := c.Drain(); !errors.Is(err, ErrWorkerStopped) {
+		t.Errorf("Drain after stop = %v", err)
 	}
 }
 
@@ -250,7 +387,7 @@ func TestCrashedWorkerReportsAndBufferStaysOpen(t *testing.T) {
 
 	kill := &killOnceHook{}
 	b.SetFaultHook(kill)
-	f := c.Delegate(func() any { return "never" })
+	f := c.Delegate(Op{Task: func() any { return "never" }})
 
 	stopCh := make(chan struct{})
 	crash := NewWorker(b).Run(stopCh)
@@ -273,7 +410,7 @@ func TestCrashedWorkerReportsAndBufferStaysOpen(t *testing.T) {
 		NewWorker(b).Run(stopCh)
 		close(done)
 	}()
-	if v, err := c.InvokeErr(func() any { return "back" }); err != nil || v != "back" {
+	if v, err := invoke(c, Op{Task: func() any { return "back" }}); err != nil || v != "back" {
 		t.Fatalf("respawned worker invoke = %v, %v", v, err)
 	}
 	close(stopCh)

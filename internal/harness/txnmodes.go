@@ -14,8 +14,8 @@ import (
 
 // TxnModes is the real-execution ablation of the statement→task mapping
 // (DESIGN.md §11): the same full TPC-C mix runs on the direct baseline and
-// on the delegated engine in each execution mode — per-statement pipelining,
-// same-domain fusion, whole-transaction delegation — and each row reports
+// on the delegated engine in each execution mode — per-statement pipelining
+// and whole-transaction delegation — and each row reports
 // measured per-transaction latency on this host.
 func TxnModes() (string, error) {
 	cfg := tpcc.Config{Warehouses: 2, Customers: 100, Items: 300}
@@ -63,7 +63,7 @@ func TxnModes() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for _, mode := range []oltp.ExecMode{oltp.ModePerStatement, oltp.ModeFused, oltp.ModeWholeTxn} {
+	for _, mode := range []oltp.ExecMode{oltp.ModePerStatement, oltp.ModeWholeTxn} {
 		engine, err := oltp.NewEngine(cfg, newIndex, m)
 		if err != nil {
 			return "", err

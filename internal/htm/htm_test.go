@@ -3,6 +3,7 @@ package htm
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"robustconf/internal/syncprims"
@@ -155,7 +156,12 @@ func TestNonAbortErrorPropagates(t *testing.T) {
 func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 	r := NewRegion()
 	var cell syncprims.VersionLock
-	counter := 0
+	// The body reads counter optimistically, racing a concurrent commit's
+	// write exactly as a speculative hardware transaction would; atomic
+	// loads and stores keep that race visible to the version check only,
+	// not to the race detector. Read and write stay separate operations, so
+	// a lost update still shows unless the transaction validation stops it.
+	var counter atomic.Int64
 	var wg sync.WaitGroup
 	const goroutines, perG = 8, 500
 	for g := 0; g < goroutines; g++ {
@@ -167,8 +173,8 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 					if err := tx.Read(&cell); err != nil {
 						return err
 					}
-					cur := counter
-					return tx.Write(&cell, func() { counter = cur + 1 })
+					cur := counter.Load()
+					return tx.Write(&cell, func() { counter.Store(cur + 1) })
 				})
 				if err != nil {
 					t.Error(err)
@@ -178,8 +184,8 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if counter != goroutines*perG {
-		t.Errorf("counter = %d, want %d (lost updates)", counter, goroutines*perG)
+	if got := counter.Load(); got != goroutines*perG {
+		t.Errorf("counter = %d, want %d (lost updates)", got, goroutines*perG)
 	}
 }
 

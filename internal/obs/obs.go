@@ -288,7 +288,7 @@ type DomainSnapshot struct {
 	Posts      uint64
 	BurstWaits uint64
 	// Reads counts read-classified operations: bypass hits plus delegated
-	// read-flagged invokes (Client.InvokeReadErr). Writes are derivable as
+	// read ops (read-flagged closures and typed Gets). Writes are derivable as
 	// Posts − (Reads − BypassHits); the sampler turns the two deltas into
 	// the windowed write fraction.
 	Reads uint64

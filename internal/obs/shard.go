@@ -222,8 +222,8 @@ func (c *ClientShard) PostRecycled() *Span {
 func (c *ClientShard) BurstWait() { c.burstWaits++ }
 
 // CountRead marks the in-flight post as a read. The delegation client calls
-// it on the read-flagged invoke path (Client.InvokeReadErr), where the
-// read/write distinction is already a compile-time fact — one predictable
+// it for every read op it posts (a read-flagged closure or a typed Get),
+// where the read/write distinction is already known — one predictable
 // branch and an owner-local increment, no extra lookup on the write path.
 // Together with BypassHit (which also counts a read) this gives the sampler
 // the windowed write fraction: writes = posts − (reads − bypass hits).

@@ -142,7 +142,7 @@ func TestModesCrossWarehouseAgainstDirect(t *testing.T) {
 		t.Fatal("trace never ran a remote Payment; raise the remote fraction")
 	}
 
-	for _, mode := range []ExecMode{ModePerStatement, ModeFused, ModeWholeTxn} {
+	for _, mode := range []ExecMode{ModePerStatement, ModeWholeTxn} {
 		got, gTerm := runModeTrace(t, mode, remote, seed, txns, false)
 		if dTerm.NewOrders != gTerm.NewOrders || dTerm.Payments != gTerm.Payments {
 			t.Errorf("%s: mix diverged: NO=%d/%d P=%d/%d", mode,
@@ -160,7 +160,7 @@ func TestModesFullMixAgainstDirect(t *testing.T) {
 	if dTerm.Deliveries == 0 || dTerm.OrderStatuses == 0 || dTerm.StockLevels == 0 {
 		t.Fatalf("trace incomplete: %+v", dTerm)
 	}
-	for _, mode := range []ExecMode{ModePerStatement, ModeFused, ModeWholeTxn} {
+	for _, mode := range []ExecMode{ModePerStatement, ModeWholeTxn} {
 		got, gTerm := runModeTrace(t, mode, remote, seed, txns, true)
 		if dTerm.NewOrders != gTerm.NewOrders || dTerm.Deliveries != gTerm.Deliveries ||
 			dTerm.OrderStatuses != gTerm.OrderStatuses || dTerm.StockLevels != gTerm.StockLevels {
@@ -171,7 +171,7 @@ func TestModesFullMixAgainstDirect(t *testing.T) {
 }
 
 func TestParseMode(t *testing.T) {
-	for _, mode := range []ExecMode{ModePerStatement, ModeFused, ModeWholeTxn} {
+	for _, mode := range []ExecMode{ModePerStatement, ModeWholeTxn} {
 		got, err := ParseMode(mode.String())
 		if err != nil || got != mode {
 			t.Errorf("ParseMode(%q) = %v, %v", mode.String(), got, err)

@@ -281,10 +281,6 @@ const (
 	// concurrently on the session's burst slots and synchronise only at
 	// dependency barriers.
 	ModePerStatement ExecMode = iota
-	// ModeFused buffers statements bound for the same warehouse and flushes
-	// them as one multi-op task executed in a single worker sweep; a
-	// statement's Value (or any sync operation) forces the flush.
-	ModeFused
 	// ModeWholeTxn ships entire single-warehouse transactions into the
 	// owning domain as one task (RunTxn) and falls back to pipelined
 	// statements for cross-warehouse transactions.
@@ -296,8 +292,6 @@ func (m ExecMode) String() string {
 	switch m {
 	case ModePerStatement:
 		return "per-statement"
-	case ModeFused:
-		return "fused"
 	case ModeWholeTxn:
 		return "whole-txn"
 	}
@@ -309,17 +303,11 @@ func ParseMode(s string) (ExecMode, error) {
 	switch s {
 	case "per-statement":
 		return ModePerStatement, nil
-	case "fused":
-		return ModeFused, nil
 	case "whole-txn":
 		return ModeWholeTxn, nil
 	}
-	return 0, fmt.Errorf("oltp: unknown execution mode %q (want per-statement, fused or whole-txn)", s)
+	return 0, fmt.Errorf("oltp: unknown execution mode %q (want per-statement or whole-txn)", s)
 }
-
-// fusedBatchCap bounds one fused task's statement count so a single sweep
-// never monopolises the worker (New-Order's widest wave is 62 statements).
-const fusedBatchCap = 64
 
 // NewStore opens a session-backed store for one terminal goroutine in the
 // default whole-transaction mode. The returned store is not safe for
@@ -336,9 +324,6 @@ func (e *Engine) NewStoreMode(cpu, burst int, mode ExecMode) (*SessionStore, err
 		return nil, err
 	}
 	s := &SessionStore{engine: e, session: sess, mode: mode}
-	if mode == ModeFused {
-		s.batches = make([]*stmtBatch, e.cfg.Warehouses)
-	}
 	// Prebuilt in-domain closures: one scan collector and one
 	// whole-transaction trampoline per store lifetime, so the hot paths
 	// allocate nothing per call.
@@ -383,8 +368,7 @@ type SessionStore struct {
 	session *core.Session
 	mode    ExecMode
 
-	pool    *stmtFuture  // recycled statement futures
-	batches []*stmtBatch // fused mode: one pending batch per warehouse
+	pool *stmtFuture // recycled statement futures
 
 	// Scan scratch: the in-domain collector appends into scanBuf, the
 	// client replays it; both sides reuse the buffer across calls.
@@ -399,8 +383,8 @@ type SessionStore struct {
 	txnOp func(ds any) any
 	local domainStore
 
-	// Logged-path scratch: fused batches and whole transactions accumulate
-	// their effect records here (worker side, inside the task), and logEnc
+	// Logged-path scratch: whole transactions accumulate their effect
+	// records here (worker side, inside the task), and logEnc
 	// copies them into the WAL staging buffer (worker side, same sweep).
 	effects []byte
 	logEnc  func(dst []byte) []byte
@@ -425,8 +409,7 @@ const (
 // Value recycles it into the store's pool (consume-once).
 type stmtFuture struct {
 	store *SessionStore
-	af    *core.AsyncFuture // pipelined path (nil once consumed)
-	batch *stmtBatch        // fused path (nil once flushed)
+	af    *core.AsyncFuture // nil once consumed
 	kind  stmtKind
 	table tpcc.Table
 	key   uint64
@@ -477,14 +460,14 @@ func (s *SessionStore) getStmt() *stmtFuture {
 	} else {
 		s.pool = f.next
 	}
-	f.af, f.batch, f.next = nil, nil, nil
+	f.af, f.next = nil, nil
 	f.val, f.ok, f.err = 0, false, nil
 	return f
 }
 
-// issue routes one statement according to the store's mode and returns its
-// future. Routing errors are carried in the future (Value surfaces them), so
-// transaction code consumes every future uniformly.
+// issue pipelines one statement and returns its future. Routing errors are
+// carried in the future (Value surfaces them), so transaction code consumes
+// every future uniformly.
 func (s *SessionStore) issue(w int, kind stmtKind, t tpcc.Table, key, arg uint64, rmw tpcc.RMWKind) *stmtFuture {
 	f := s.getStmt()
 	f.kind, f.table, f.key, f.arg, f.rmw = kind, t, key, arg, rmw
@@ -492,24 +475,13 @@ func (s *SessionStore) issue(w int, kind stmtKind, t tpcc.Table, key, arg uint64
 		f.err = fmt.Errorf("oltp: warehouse %d out of range", w)
 		return f
 	}
-	if s.mode == ModeFused {
-		b := s.batch(w)
-		f.batch = b
-		b.stmts = append(b.stmts, f)
-		if len(b.stmts) >= fusedBatchCap {
-			b.flush() // lifecycle errors land in every member's err
-		}
-		return f
-	}
-	var af *core.AsyncFuture
-	var err error
+	var enc func(dst []byte, arg any) []byte
 	if s.engine.logged && kind != stGet {
 		// Logged mutation: the future completes only after the effect
 		// record's group commit, so Value returning nil means durable.
-		af, err = s.session.SubmitAsyncLogged(s.engine.name(w), execStmt, f, encStmtEffect)
-	} else {
-		af, err = s.session.SubmitAsync(s.engine.name(w), execStmt, f)
+		enc = encStmtEffect
 	}
+	af, err := s.session.SubmitAsync(s.engine.name(w), execStmt, f, enc)
 	if err != nil {
 		f.err = err
 		return f
@@ -518,8 +490,8 @@ func (s *SessionStore) issue(w int, kind stmtKind, t tpcc.Table, key, arg uint64
 	return f
 }
 
-// Value implements tpcc.StmtFuture: it waits for the statement (flushing its
-// fused batch if still pending), returns the result and recycles the handle.
+// Value implements tpcc.StmtFuture: it waits for the statement, returns the
+// result and recycles the handle.
 func (f *stmtFuture) Value() (uint64, bool, error) {
 	s := f.store
 	if f.af != nil {
@@ -527,8 +499,6 @@ func (f *stmtFuture) Value() (uint64, bool, error) {
 			f.err = err
 		}
 		f.af = nil
-	} else if f.batch != nil {
-		f.batch.flush()
 	}
 	v, ok, err := f.val, f.ok, f.err
 	f.next = s.pool
@@ -536,73 +506,9 @@ func (f *stmtFuture) Value() (uint64, bool, error) {
 	return v, ok, err
 }
 
-// stmtBatch accumulates same-warehouse statements in fused mode and flushes
-// them as one multi-op task the worker executes in a single sweep.
-type stmtBatch struct {
-	store *SessionStore
-	w     int
-	stmts []*stmtFuture
-	op    func(ds any) any
-}
-
-// batch returns (building lazily) the pending batch of a warehouse.
-func (s *SessionStore) batch(w int) *stmtBatch {
-	b := s.batches[w-1]
-	if b == nil {
-		b = &stmtBatch{store: s, w: w}
-		b.op = func(ds any) any {
-			wh := ds.(*Warehouse)
-			logged := s.engine.logged
-			if logged {
-				s.effects = s.effects[:0]
-			}
-			for _, f := range b.stmts {
-				f.exec(wh)
-				if logged {
-					s.effects = f.appendEffect(s.effects)
-				}
-			}
-			return nil
-		}
-		s.batches[w-1] = b
-	}
-	return b
-}
-
-// flush executes the pending statements as one task. A lifecycle error (the
-// task never ran, or a statement panicked) is recorded into every member so
-// each Value reports it.
-func (b *stmtBatch) flush() error {
-	if len(b.stmts) == 0 {
-		return nil
-	}
-	task := core.Task{Structure: b.store.engine.name(b.w), Op: b.op}
-	if b.store.engine.logged {
-		for _, f := range b.stmts {
-			if f.kind != stGet {
-				task.Log = b.store.logEnc // at least one mutation: log the batch
-				break
-			}
-		}
-	}
-	_, err := b.store.session.Invoke(task)
-	for i, f := range b.stmts {
-		f.batch = nil
-		if err != nil && f.err == nil {
-			f.err = err
-		}
-		b.stmts[i] = nil
-	}
-	b.stmts = b.stmts[:0]
-	return err
-}
-
 // syncWrites makes every already-issued write for a warehouse visible before
 // an operation that must observe it (Scan, RunTxn).
 func (s *SessionStore) syncWrites(w int) error {
-	if s.mode == ModeFused {
-		return s.batch(w).flush()
-	}
 	return s.session.Barrier(s.engine.name(w))
 }
 
@@ -820,19 +726,5 @@ func (d *domainStore) RMW(w int, t tpcc.Table, key uint64, kind tpcc.RMWKind, de
 	return nv, true, nil
 }
 
-// Close flushes any pending fused batches, drains the session and releases
-// its slots.
-func (s *SessionStore) Close() error {
-	var firstErr error
-	for _, b := range s.batches {
-		if b != nil {
-			if err := b.flush(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if err := s.session.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
+// Close drains the session and releases its slots.
+func (s *SessionStore) Close() error { return s.session.Close() }

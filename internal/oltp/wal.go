@@ -6,8 +6,8 @@
 // (a batch may commit an instant before its crash is detected) converges to
 // the same state, and they are insensitive to the non-determinism of
 // re-executing reads. One WAL record carries every effect of one task: a
-// single statement on the pipelined path, a whole statement batch in fused
-// mode, a whole transaction in whole-txn mode — so a record is also the
+// single statement on the pipelined path, a whole transaction in whole-txn
+// mode — so a record is also the
 // atomic unit of replay for that task's writes.
 package oltp
 

@@ -111,7 +111,7 @@ func newWALEngine(t *testing.T, dir string, hook delegation.FaultHook) *Engine {
 // terminal stream leaves the same district sequences as the direct engine,
 // and the WAL actually saw the mutations.
 func TestEngineWALModesMatchDirect(t *testing.T) {
-	for _, mode := range []ExecMode{ModePerStatement, ModeFused, ModeWholeTxn} {
+	for _, mode := range []ExecMode{ModePerStatement, ModeWholeTxn} {
 		direct := loadDirect(t, newFPTree)
 		dTerm, _ := tpcc.NewTerminal(smallCfg, direct, 1, 0.2, 99)
 

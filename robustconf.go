@@ -148,7 +148,7 @@ const DefaultRestartBudget = core.DefaultRestartBudget
 
 // Durability: set Config.WAL to give every domain a per-worker write-ahead
 // log with periodic checkpoints. Structures participate by implementing
-// Durable; logged mutations (Task.Log, Session.SubmitAsyncLogged) complete
+// Durable; logged mutations (Task.Log, or SubmitAsync with an encoder) complete
 // only after their group commit, and a crashed worker's respawn restores the
 // latest checkpoint and replays the committed log tail before serving.
 type (
